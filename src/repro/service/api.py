@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import multiprocessing
 import time
 from dataclasses import dataclass
@@ -60,7 +61,9 @@ class ServiceConfig:
     heartbeat_timeout: float = 2.0
     #: Cadence of the stale-job / dead-worker sweep.
     sweep_interval: float = 0.5
-    #: Worker idle poll and heartbeat cadence (forwarded to workers).
+    #: Worker fallback re-scan interval (idle workers are woken on
+    #: submit; this bounds the delay of a lost wake) and heartbeat
+    #: cadence, both forwarded to workers.
     worker_poll: float = 0.2
     worker_heartbeat: float = 0.5
     #: Respawn workers that exit (the pool is supposed to be eternal).
@@ -110,7 +113,10 @@ async def _read_request(reader: asyncio.StreamReader
             continue
         name, _, value = line.partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
+    raw_length = headers.get("content-length", "0") or "0"
+    if not (raw_length.isascii() and raw_length.isdigit()):
+        raise _HttpError(400, f"invalid Content-Length {raw_length!r}")
+    length = int(raw_length)
     if length > _MAX_BODY:
         raise _HttpError(413, f"body of {length} bytes exceeds limit")
     body = await reader.readexactly(length) if length else b""
@@ -127,6 +133,14 @@ def _json_body(body: bytes) -> dict:
     if not isinstance(payload, dict):
         raise _HttpError(400, "request body must be a JSON object")
     return payload
+
+
+def _int_field(request: dict, name: str, default: int) -> int:
+    value = request.get(name, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise _HttpError(400, f"{name} must be an integer, got {value!r}")
 
 
 class ExperimentService:
@@ -307,12 +321,18 @@ class ExperimentService:
         if len(parts) == 2 and parts[0] == "baselines":
             name = parts[1]
             if method == "GET":
-                baseline = self.storage.load_baseline(name)
+                try:
+                    baseline = self.storage.load_baseline(name)
+                except ValueError:  # cannot name a record, so there is none
+                    baseline = None
                 if baseline is None:
                     raise _HttpError(404, f"no baseline {name!r}")
                 return baseline, 200
             if method == "PUT":
-                self.storage.save_baseline(name, _json_body(body))
+                try:
+                    self.storage.save_baseline(name, _json_body(body))
+                except ValueError as exc:
+                    raise _HttpError(400, str(exc))
                 return {"stored": name}, 201
             raise _HttpError(405, f"{method} not supported on baselines")
         raise _HttpError(404, f"no route {method} /{'/'.join(parts)}")
@@ -321,7 +341,10 @@ class ExperimentService:
                           query: Dict[str, str], headers: Dict[str, str],
                           reader, writer) -> Tuple[Optional[dict], int]:
         job_id = parts[1]
-        job = self.queue.get(job_id)
+        try:
+            job = self.queue.get(job_id)
+        except ValueError:  # cannot name a record, so there is none
+            job = None
         if job is None:
             raise _HttpError(404, f"no job {job_id!r}")
         if len(parts) == 2 and method == "GET":
@@ -341,6 +364,8 @@ class ExperimentService:
                 offset = int(query.get("offset", "0") or "0")
             except ValueError:
                 raise _HttpError(400, "offset must be an integer")
+            if offset < 0:
+                raise _HttpError(400, "offset must be non-negative")
             if headers.get("upgrade", "").lower() == "websocket":
                 await self._upgrade_and_stream(headers, reader, writer,
                                                job_id, offset)
@@ -409,15 +434,24 @@ class ExperimentService:
                 raise _HttpError(400, f"unknown experiment {key!r}{hint}")
             timeout = request.get("timeout")
             if timeout is not None:
-                timeout = float(timeout)
-                if timeout <= 0:
-                    raise _HttpError(400, "timeout must be positive")
+                try:
+                    timeout = float(timeout)
+                except (TypeError, ValueError):
+                    raise _HttpError(400, f"timeout must be a number, "
+                                          f"got {timeout!r}")
+                # NaN never expires (monotonic() > nan is always False).
+                if not (math.isfinite(timeout) and timeout > 0):
+                    raise _HttpError(400, "timeout must be positive "
+                                          "and finite")
+            retries = _int_field(request, "retries", 1)
+            if retries < 0:
+                raise _HttpError(400, "retries must be non-negative")
             specs.append({
                 "key": key,
                 "fast": bool(request.get("fast", False)),
-                "priority": int(request.get("priority", 0)),
+                "priority": _int_field(request, "priority", 0),
                 "timeout": timeout,
-                "max_retries": int(request.get("retries", 1)),
+                "max_retries": retries,
             })
         jobs = [self.queue.submit(
             kind="experiment",

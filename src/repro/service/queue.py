@@ -21,13 +21,20 @@ Failure budgets are split in two, mirroring the runner's philosophy:
   (SIGKILL, OOM, host loss).  Not the job's fault, so it does not
   burn a retry; the separate cap keeps a job that reliably kills its
   workers from cycling forever.
+
+Every transition that makes a job claimable (submit, a retry, a
+requeue) ends with a wake hint to the idle workers (see
+:meth:`FileStorage.wake_workers`); the record is saved first, so a
+worker woken by the hint always finds it.  Terminal records are
+absorbing, so each queue instance keeps the ones it has read in memory
+and a scan parses only the records that can still change.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional
 
 from ..core.retry import backoff_delay
@@ -110,6 +117,9 @@ class JobQueue:
 
     def __init__(self, storage: StorageBackend) -> None:
         self.storage = storage
+        #: Terminal records already read, by job id.  No transition
+        #: leaves done/failed/cancelled, so the disk copy cannot change.
+        self._settled: Dict[str, Job] = {}
 
     # -- submission & lookup ----------------------------------------------
 
@@ -122,15 +132,27 @@ class JobQueue:
                   submitted_at=time.time())
         self._save(job)
         self._log(job, "queued")
+        self.storage.wake_workers()
         return job
 
     def get(self, job_id: str) -> Optional[Job]:
-        payload = self.storage.load_job(job_id)
-        return Job.from_dict(payload) if payload else None
+        settled = self._settled.get(job_id)
+        if settled is None:
+            payload = self.storage.load_job(job_id)
+            if not payload:
+                return None
+            job = Job.from_dict(payload)
+            if not job.terminal:
+                return job
+            self._settled[job_id] = settled = job
+        return replace(settled, params=dict(settled.params))
 
     def jobs(self, state: Optional[str] = None) -> List[Job]:
         out = []
         for job_id in self.storage.list_job_ids():
+            settled = self._settled.get(job_id)
+            if settled is not None and state not in (None, settled.state):
+                continue  # skip the copy of a filtered-out record
             job = self.get(job_id)
             if job is not None and (state is None or job.state == state):
                 out.append(job)
@@ -207,6 +229,7 @@ class JobQueue:
             self._save(job)
             self.storage.release_claim(job.job_id)
             self._log(job, "queued", retry=True, error=error)
+            self.storage.wake_workers()
         else:
             job.state = "failed"
             job.finished_at = time.time()
@@ -301,6 +324,7 @@ class JobQueue:
         job.worker = None
         self._save(job)
         self._log(job, "queued", cause=cause, requeues=job.requeues)
+        self.storage.wake_workers()
         return job
 
     # -- internals ---------------------------------------------------------

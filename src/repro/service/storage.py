@@ -16,17 +16,24 @@ directory agree on exactly one owner per job.  A corrupt record — a
 partially copied backup, a flipped bit — is quarantined to
 ``<name>.corrupt`` and treated as absent rather than poisoning every
 subsequent scan.
+
+Idle workers are woken through per-worker FIFOs (:class:`WakeChannel`,
+:meth:`FileStorage.wake_workers`).  A wake is only a hint that the
+queue changed: the job records stay the source of truth, and a worker
+that misses one finds the job on its next fallback re-scan.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import select
+import stat
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Protocol, Tuple, runtime_checkable
 
-__all__ = ["StorageBackend", "FileStorage"]
+__all__ = ["StorageBackend", "FileStorage", "WakeChannel"]
 
 
 @runtime_checkable
@@ -85,6 +92,12 @@ class StorageBackend(Protocol):
     def read_stream(self, job_id: str,
                     offset: int = 0) -> Tuple[List[str], int]: ...
 
+    # -- wake hints (best effort; job records stay authoritative) ----------
+
+    def wake_channel(self, worker_id: str) -> "WakeChannel": ...
+
+    def wake_workers(self) -> None: ...
+
 
 def _safe_name(name: str) -> str:
     """Reject names that would escape the storage directory."""
@@ -104,12 +117,13 @@ class FileStorage:
         baselines/<name>.json       benchmark baselines
         heartbeats/<worker>.json    worker liveness
         streams/<job_id>.jsonl      append-only live job streams
+        wake/<worker>.fifo          idle workers' wake-up FIFOs
     """
 
     def __init__(self, root) -> None:
         self.root = Path(root)
         for sub in ("jobs", "claims", "artifacts", "baselines",
-                    "heartbeats", "streams"):
+                    "heartbeats", "streams", "wake"):
             (self.root / sub).mkdir(parents=True, exist_ok=True)
 
     # -- primitives --------------------------------------------------------
@@ -278,3 +292,80 @@ class FileStorage:
         complete = blob[:end + 1]
         lines = complete.decode("utf-8", "replace").splitlines()
         return lines, offset + end + 1
+
+    # -- wake hints --------------------------------------------------------
+
+    def wake_channel(self, worker_id: str) -> "WakeChannel":
+        return WakeChannel(self.root / "wake"
+                           / f"{_safe_name(worker_id)}.fifo")
+
+    def wake_workers(self) -> None:
+        """Write one byte to every worker's FIFO; never blocks or raises.
+
+        Called after a record becomes claimable.  A FIFO with no reader
+        (``ENXIO``: its worker is dead) or a full one (``EAGAIN``: a
+        wake is already pending) is skipped.
+        """
+        directory = self.root / "wake"
+        try:
+            names = os.listdir(directory)
+        except OSError:
+            return
+        for name in names:
+            if not name.endswith(".fifo"):
+                continue
+            try:
+                fd = os.open(directory / name, os.O_WRONLY | os.O_NONBLOCK)
+            except OSError:
+                continue
+            try:
+                os.write(fd, b"\0")
+            except OSError:
+                pass
+            finally:
+                os.close(fd)
+
+
+class WakeChannel:
+    """A worker's end of its wake FIFO.
+
+    The FIFO is opened read-write: the channel is then its own writer,
+    so ``select`` never reports a hang-up after a submitter closes, and
+    submitters' non-blocking opens always find a reader while the
+    worker lives.  A FIFO rather than a Unix socket, so deep storage
+    paths do not hit the 108-byte ``sun_path`` limit.
+    """
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        try:
+            os.mkfifo(path)
+        except FileExistsError:
+            # Left by an earlier worker of the same id; reuse it unless
+            # something other than a FIFO squats on the name.
+            if not stat.S_ISFIFO(os.stat(path).st_mode):
+                path.unlink()
+                os.mkfifo(path)
+        self._fd = os.open(path, os.O_RDWR | os.O_NONBLOCK)
+
+    def wait(self, timeout: float) -> bool:
+        """Block up to ``timeout`` seconds for a wake; True if woken.
+
+        Every pending wake is drained, so one re-scan answers them all.
+        """
+        ready, _, _ = select.select([self._fd], [], [], timeout)
+        if not ready:
+            return False
+        try:
+            while os.read(self._fd, 4096):
+                pass
+        except BlockingIOError:
+            pass
+        return True
+
+    def close(self) -> None:
+        os.close(self._fd)
+        try:
+            self.path.unlink()
+        except FileNotFoundError:
+            pass

@@ -2,10 +2,12 @@
 
 A worker is a plain loop — heartbeat, claim, execute, repeat — started
 either as a child process of ``pels serve`` or standalone against the
-same storage directory.  Execution reuses the runner's hardening
-recipe from PR 3: the experiment runs in a *disposable child process*
-(crash isolation, enforceable timeouts) whose structured-failure
-semantics come from ``runner._run_one``.
+same storage directory.  An idle worker blocks on its wake FIFO, which
+the queue pokes whenever a job becomes claimable; the poll interval is
+only the fallback re-scan for a lost wake.  Execution reuses the
+runner's hardening recipe from PR 3: the experiment runs in a
+*disposable child process* (crash isolation, enforceable timeouts)
+whose structured-failure semantics come from ``runner._run_one``.
 
 While a job executes the worker keeps heartbeating (so the queue's
 stale-job sweep knows it is alive), polls the record for cooperative
@@ -244,6 +246,10 @@ def run_worker(storage_dir: str, worker_id: str, *,
                stop: Optional[Callable[[], bool]] = None) -> int:
     """Pull-and-execute loop; returns the number of jobs executed.
 
+    When the queue has nothing to claim the worker blocks on its wake
+    channel; ``poll_interval`` is the fallback re-scan interval, the
+    longest a lost wake can delay a claim.
+
     ``executor`` defaults to :func:`execute_in_child`; tests inject a
     fake to exercise the loop without process machinery.  ``max_jobs``
     / ``idle_exit`` / ``stop`` bound the loop for embedding and tests;
@@ -270,25 +276,32 @@ def run_worker(storage_dir: str, worker_id: str, *,
         except OSError:  # pragma: no cover - disk hiccup
             pass
 
-    while not (stop is not None and stop()):
-        beat()
-        job = queue.claim_next(worker_id)
-        if job is None:
-            if idle_exit is not None and \
-                    time.monotonic() - idle_since > idle_exit:
+    # Open before the first scan: a job submitted after that scan then
+    # always leaves a wake behind for the wait below.
+    wake = storage.wake_channel(worker_id)
+    try:
+        while not (stop is not None and stop()):
+            beat()
+            job = queue.claim_next(worker_id)
+            if job is None:
+                if idle_exit is not None and \
+                        time.monotonic() - idle_since > idle_exit:
+                    break
+                wake.wait(poll_interval)
+                continue
+            current_job = job.job_id
+            try:
+                execute(queue, storage, job, beat)
+            except Exception as exc:  # noqa: BLE001 - worker must survive
+                queue.fail(job,
+                           f"worker error: {type(exc).__name__}: {exc}")
+            current_job = None
+            executed += 1
+            idle_since = time.monotonic()
+            if max_jobs is not None and executed >= max_jobs:
                 break
-            time.sleep(poll_interval)
-            continue
-        current_job = job.job_id
-        try:
-            execute(queue, storage, job, beat)
-        except Exception as exc:  # noqa: BLE001 - worker must survive
-            queue.fail(job, f"worker error: {type(exc).__name__}: {exc}")
-        current_job = None
-        executed += 1
-        idle_since = time.monotonic()
-        if max_jobs is not None and executed >= max_jobs:
-            break
+    finally:
+        wake.close()
     return executed
 
 

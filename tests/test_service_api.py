@@ -227,3 +227,79 @@ class TestServiceConfigValidation:
     def test_non_positive_timeouts_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             ServiceConfig(storage_dir=str(tmp_path), heartbeat_timeout=0)
+
+
+def _raw_status(port: int, request: bytes) -> int:
+    """Send raw request bytes; return the response's status code."""
+    import socket
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(request)
+        head = b""
+        while b"\r\n" not in head:
+            chunk = sock.recv(4096)
+            if not chunk:
+                break
+            head += chunk
+    return int(head.split(b" ", 2)[1])
+
+
+class TestHostileInput:
+    """Malformed requests get the exact 4xx, never a 500."""
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "1e3", "+7", "²"])
+    def test_bad_content_length_400(self, fleet, length):
+        request = (f"POST /jobs HTTP/1.1\r\nHost: x\r\n"
+                   f"Content-Length: {length}\r\n\r\n").encode("latin-1")
+        assert _raw_status(fleet.port, request) == 400
+
+    def test_oversized_content_length_413(self, fleet):
+        request = (b"POST /jobs HTTP/1.1\r\nHost: x\r\n"
+                   b"Content-Length: 999999999999\r\n\r\n")
+        assert _raw_status(fleet.port, request) == 413
+
+    @pytest.mark.parametrize("field, value", [
+        ("priority", "x"),
+        ("priority", None),
+        ("priority", float("inf")),
+        ("timeout", "abc"),
+        ("timeout", [1]),
+        ("timeout", float("nan")),
+        ("timeout", float("inf")),
+        ("timeout", float("-inf")),
+        ("retries", None),
+        ("retries", "many"),
+        ("retries", -1),
+    ])
+    def test_bad_submit_field_400(self, client, field, value):
+        with pytest.raises(ServiceError) as err:
+            client.submit([{"key": "T1", field: value}])
+        assert err.value.status == 400
+        assert field in err.value.message
+        assert client.jobs() == []  # nothing half-submitted
+
+    @pytest.mark.parametrize("offset", ["-1", "-999", "x"])
+    def test_bad_stream_offset_400(self, client, offset):
+        job = client.submit([{"key": "T1"}])[0]
+        with pytest.raises(ServiceError) as err:
+            client._request("GET",
+                            f"/jobs/{job['job_id']}/stream?offset={offset}")
+        assert err.value.status == 400
+
+    @pytest.mark.parametrize("path", [
+        "/jobs/..%2F/stream",
+        "/jobs/..%2F",
+        "/jobs/.hidden/artifact",
+        "/jobs/a\\b/stream",
+    ])
+    def test_unnameable_job_id_404(self, client, path):
+        with pytest.raises(ServiceError) as err:
+            client._request("GET", path)
+        assert err.value.status == 404
+
+    def test_unnameable_baseline(self, client):
+        with pytest.raises(ServiceError) as err:
+            client._request("GET", "/baselines/..%2F")
+        assert err.value.status == 404
+        with pytest.raises(ServiceError) as err:
+            client._request("PUT", "/baselines/.hidden", {"x": 1})
+        assert err.value.status == 400

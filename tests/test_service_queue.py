@@ -10,6 +10,7 @@ interrupted work with no lost or duplicated artifacts.
 
 from __future__ import annotations
 
+import os
 import time
 
 import pytest
@@ -229,3 +230,65 @@ class TestJobSerialization:
         states = [json.loads(line)["state"] for line in lines]
         # Stream resets on claim: exactly one attempt is visible.
         assert states == ["running", "done"]
+
+
+class TestSettledRecords:
+    """Terminal records are read once per queue; live ones every time."""
+
+    def test_cached_terminal_record_equals_disk(self, queue, storage):
+        job = queue.submit(params={"key": "T1"})
+        queue.complete(queue.claim_next("w001"), {"experiment_id": "T1"})
+        first = queue.get(job.job_id)
+        assert first.to_dict() == storage.load_job(job.job_id)
+        # A caller mutating its copy does not touch the cached record.
+        first.params["key"] = "mutated"
+        first.state = "queued"
+        again = queue.get(job.job_id)
+        assert again.to_dict() == storage.load_job(job.job_id)
+
+    def test_scans_skip_settled_records_on_disk(self, queue, storage,
+                                                monkeypatch):
+        for _ in range(3):
+            queue.submit(params={"key": "T1"})
+            queue.complete(queue.claim_next("w001"), {})
+        live = queue.submit(params={"key": "F2"})
+        queue.counts()  # reads every record once
+        loads = []
+        real_load = storage.load_job
+
+        def counting_load(job_id):
+            loads.append(job_id)
+            return real_load(job_id)
+
+        monkeypatch.setattr(storage, "load_job", counting_load)
+        assert queue.counts()["done"] == 3
+        assert loads == [live.job_id]
+
+    def test_running_record_is_reread(self, queue, storage):
+        job = queue.submit(params={"key": "T1"})
+        queue.claim_next("w001")
+        assert not queue.get(job.job_id).cancel_requested
+        # Another process (the API) asks for cancellation.
+        JobQueue(FileStorage(storage.root)).cancel(job.job_id)
+        assert queue.get(job.job_id).cancel_requested
+
+
+class TestWakeHints:
+    def test_submit_survives_dead_and_full_fifos(self, queue, storage):
+        wake = storage.root / "wake"
+        os.mkfifo(wake / "dead.fifo")  # no reader: ENXIO
+        os.mkfifo(wake / "full.fifo")
+        reader = os.open(wake / "full.fifo", os.O_RDONLY | os.O_NONBLOCK)
+        writer = os.open(wake / "full.fifo", os.O_WRONLY | os.O_NONBLOCK)
+        try:
+            with pytest.raises(BlockingIOError):
+                while True:
+                    os.write(writer, b"\0" * 4096)
+            start = time.monotonic()
+            for _ in range(5):
+                queue.submit(params={"key": "T1"})
+            assert time.monotonic() - start < 2.0
+        finally:
+            os.close(writer)
+            os.close(reader)
+        assert queue.counts()["queued"] == 5

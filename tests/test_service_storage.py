@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import stat
 
 import pytest
 
@@ -27,7 +28,7 @@ class TestProtocol:
 
     def test_layout_created(self, storage):
         for sub in ("jobs", "claims", "artifacts", "baselines",
-                    "heartbeats", "streams"):
+                    "heartbeats", "streams", "wake"):
             assert (storage.root / sub).is_dir()
 
 
@@ -204,3 +205,39 @@ class TestStreams:
     def test_empty_append_is_noop(self, storage):
         storage.append_stream("j1", [])
         assert storage.read_stream("j1") == ([], 0)
+
+
+class TestWakeChannel:
+    def test_wake_is_delivered_and_drained(self, storage):
+        channel = storage.wake_channel("w001")
+        try:
+            assert not channel.wait(0.0)
+            storage.wake_workers()
+            storage.wake_workers()
+            assert channel.wait(5.0)
+            # Both pending wakes were drained by the first wait.
+            assert not channel.wait(0.0)
+        finally:
+            channel.close()
+
+    def test_close_removes_the_fifo(self, storage):
+        channel = storage.wake_channel("w001")
+        path = storage.root / "wake" / "w001.fifo"
+        assert path.exists()
+        channel.close()
+        assert not path.exists()
+
+    def test_non_fifo_squatter_is_replaced(self, storage):
+        path = storage.root / "wake" / "w001.fifo"
+        path.write_text("not a fifo")
+        channel = storage.wake_channel("w001")
+        try:
+            assert stat.S_ISFIFO(os.stat(path).st_mode)
+            storage.wake_workers()
+            assert channel.wait(5.0)
+        finally:
+            channel.close()
+
+    def test_unsafe_worker_id_rejected(self, storage):
+        with pytest.raises(ValueError):
+            storage.wake_channel("../escape")

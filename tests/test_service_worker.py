@@ -9,6 +9,7 @@ hardening suite established).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import threading
 import time
@@ -200,3 +201,108 @@ class TestRunWorkerLoop:
         job = queue.jobs()[0]
         assert job.state == "failed"
         assert "executor blew up" in job.error
+
+
+
+@contextlib.contextmanager
+def _idle_worker(storage, poll_interval=30.0):
+    """A one-job worker thread, yielded once its wake FIFO exists.
+
+    Yields the thread and a list that receives ``(job_id, monotonic
+    time)`` when the worker claims a job.
+    """
+    claimed = []
+    halt = threading.Event()
+
+    def fake_executor(q, s, job, beat):
+        claimed.append((job.job_id, time.monotonic()))
+        return q.complete(job, {"experiment_id": "X"})
+
+    thread = threading.Thread(
+        target=run_worker, args=(str(storage.root), "w001"),
+        kwargs={"poll_interval": poll_interval, "executor": fake_executor,
+                "max_jobs": 1, "stop": halt.is_set},
+        daemon=True)
+    thread.start()
+    fifo = storage.root / "wake" / "w001.fifo"
+    deadline = time.monotonic() + 5.0
+    while not fifo.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert fifo.exists()
+    try:
+        yield thread, claimed
+    finally:
+        halt.set()
+        storage.wake_workers()
+        thread.join(timeout=5.0)
+
+
+def _claimed_within(thread, claimed, job_id, started, limit=1.0):
+    thread.join(timeout=limit + 1.0)
+    assert not thread.is_alive()
+    assert claimed and claimed[0][0] == job_id
+    assert claimed[0][1] - started < limit
+
+
+class TestWakeOnSubmit:
+    """An idle worker with a 30 s fallback re-scan claims within 1 s."""
+
+    def test_submit_from_another_queue_wakes(self, storage):
+        with _idle_worker(storage) as (thread, claimed):
+            time.sleep(0.05)  # let the worker settle into its wait
+            other = JobQueue(FileStorage(storage.root))
+            started = time.monotonic()
+            job = other.submit(params={"key": "X"})
+            _claimed_within(thread, claimed, job.job_id, started)
+
+    def test_stale_requeue_wakes(self, queue, storage):
+        job = queue.submit(params={"key": "X"})
+        queue.claim_next("dead")
+        storage.beat("dead", {"at": 0.0, "pid": 1, "job": job.job_id})
+        with _idle_worker(storage) as (thread, claimed):
+            started = time.monotonic()
+            assert queue.requeue_stale(2.0)[0].state == "queued"
+            _claimed_within(thread, claimed, job.job_id, started)
+
+    def test_retrying_fail_wakes(self, queue, storage):
+        job = queue.submit(params={"key": "X"}, retry_backoff=0.0)
+        running = queue.claim_next("other")
+        with _idle_worker(storage) as (thread, claimed):
+            started = time.monotonic()
+            assert queue.fail(running, "crashed").state == "queued"
+            _claimed_within(thread, claimed, job.job_id, started)
+
+    def test_many_idle_workers_lose_no_wake(self, queue, storage):
+        # More workers than cores, each with a re-scan far beyond the
+        # test's budget: every job must still run, exactly once.
+        executed = []
+        halt = threading.Event()
+
+        def fake_executor(q, s, job, beat):
+            executed.append(job.job_id)
+            return q.complete(job, {"experiment_id": "X"})
+
+        workers = [threading.Thread(
+            target=run_worker, args=(str(storage.root), f"w{i:03d}"),
+            kwargs={"poll_interval": 30.0, "executor": fake_executor,
+                    "stop": halt.is_set}, daemon=True) for i in range(4)]
+        for worker in workers:
+            worker.start()
+        submitted = []
+        try:
+            for burst in range(10):
+                submitted += [queue.submit(params={"key": "X"}).job_id
+                              for _ in range(burst % 3 + 1)]
+                time.sleep(0.01)
+            deadline = time.monotonic() + 10.0
+            while len(executed) < len(submitted) and \
+                    time.monotonic() < deadline:
+                time.sleep(0.01)
+        finally:
+            halt.set()
+            storage.wake_workers()
+            for worker in workers:
+                worker.join(timeout=5.0)
+        assert not any(worker.is_alive() for worker in workers)
+        assert sorted(executed) == sorted(submitted)
+        assert queue.counts()["done"] == len(submitted)
