@@ -235,24 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
     art.add_argument("--out", default="", metavar="PATH",
                      help="write the fetched artifact JSON here")
 
-    exp = sub.add_parser("experiments",
-                         help="regenerate the paper's tables and figures")
-    exp.add_argument("--fast", action="store_true")
-    exp.add_argument("--only", default="")
-    exp.add_argument("--list", action="store_true",
-                     help="list runnable artifact keys with one-line "
-                          "descriptions and exit")
-    exp.add_argument("--no-ablations", action="store_true")
-    exp.add_argument("--jobs", type=int, default=1, metavar="N")
-    exp.add_argument("--chunk", type=int, default=None, metavar="M")
-    exp.add_argument("--json", default="")
-    exp.add_argument("--timeout", type=float, default=None, metavar="S")
-    exp.add_argument("--retries", type=int, default=0, metavar="N")
-    exp.add_argument("--retry-backoff", type=float, default=0.5, metavar="S")
-    exp.add_argument("--out-dir", default="", metavar="DIR")
-    exp.add_argument("--resume", action="store_true")
-    exp.add_argument("--metrics-out", default="", metavar="PATH",
-                     help="write per-artifact metrics as JSONL here")
+    # Listed for --help only: main() hands everything after
+    # "experiments" to the runner verbatim, so its flags live in one
+    # place (python -m repro.experiments --help).
+    sub.add_parser("experiments",
+                   help="regenerate the paper's tables and figures "
+                        "(flags as python -m repro.experiments)")
 
     ana = sub.add_parser("analyze",
                          help="closed-form values (Lemmas 1-6)")
@@ -767,9 +755,12 @@ def _cmd_plot(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        return _dispatch(args)
+        if argv[:1] == ["experiments"]:
+            from .experiments.runner import main as experiments_main
+            return experiments_main(argv[1:])
+        return _dispatch(build_parser().parse_args(argv))
     except BrokenPipeError:
         # Output piped into a pager/head that closed early: not an error.
         try:
@@ -802,36 +793,6 @@ def _dispatch(args) -> int:
         return _cmd_status(args)
     if args.command == "artifacts":
         return _cmd_artifacts(args)
-    if args.command == "experiments":
-        from .experiments.runner import main as experiments_main
-        forwarded: List[str] = []
-        if args.list:
-            forwarded.append("--list")
-        if args.fast:
-            forwarded.append("--fast")
-        if args.only:
-            forwarded.extend(["--only", args.only])
-        if args.no_ablations:
-            forwarded.append("--no-ablations")
-        if args.jobs != 1:
-            forwarded.extend(["--jobs", str(args.jobs)])
-        if args.chunk is not None:
-            forwarded.extend(["--chunk", str(args.chunk)])
-        if args.json:
-            forwarded.extend(["--json", args.json])
-        if args.timeout is not None:
-            forwarded.extend(["--timeout", str(args.timeout)])
-        if args.retries:
-            forwarded.extend(["--retries", str(args.retries)])
-        if args.retry_backoff != 0.5:
-            forwarded.extend(["--retry-backoff", str(args.retry_backoff)])
-        if args.out_dir:
-            forwarded.extend(["--out-dir", args.out_dir])
-        if args.resume:
-            forwarded.append("--resume")
-        if args.metrics_out:
-            forwarded.extend(["--metrics-out", args.metrics_out])
-        return experiments_main(forwarded)
     raise AssertionError(f"unhandled command {args.command}")
 
 

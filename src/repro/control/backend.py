@@ -1,47 +1,23 @@
-"""Pluggable state backends for the meta-control layer.
+"""Adjustment log of the meta-control layer.
 
 The meta-controller records every parameter adjustment it applies — a
-``(t, loop, params)`` triple — through a :class:`StateBackend`.  The
-in-memory implementation backs tests, experiments and the A4 ablation;
-the interface is deliberately the minimal surface a ``pels serve``
-storage layer needs (append adjustments, read them back, persist the
-latest applied parameter set), so a SQLite/HTTP backend can slot in
-without touching the control loop.
+``(t, loop, params)`` triple — in a :class:`MemoryBackend`: append
+adjustments, read them back, and look up the latest applied parameter
+set per loop (``reset()`` uses it to find loops that moved).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-__all__ = ["StateBackend", "MemoryBackend"]
+__all__ = ["MemoryBackend"]
 
 #: One applied adjustment: (time, loop name, {param: value}).
 Adjustment = Tuple[float, str, Dict[str, float]]
 
 
-class StateBackend:
-    """Interface the meta-controller persists its decisions through."""
-
-    def record(self, t: float, loop: str,
-               params: Dict[str, float]) -> None:
-        """Append one applied adjustment."""
-        raise NotImplementedError
-
-    def history(self, loop: Optional[str] = None) -> List[Adjustment]:
-        """All recorded adjustments, optionally filtered by loop name."""
-        raise NotImplementedError
-
-    def latest(self, loop: str) -> Optional[Dict[str, float]]:
-        """The most recent parameter set applied by ``loop``, if any."""
-        raise NotImplementedError
-
-    def clear(self) -> None:
-        """Drop all recorded state (meta-controller ``reset()``)."""
-        raise NotImplementedError
-
-
-class MemoryBackend(StateBackend):
-    """Append-only in-process backend (the default)."""
+class MemoryBackend:
+    """Append-only in-process log of the meta-controller's decisions."""
 
     def __init__(self) -> None:
         self._log: List[Adjustment] = []

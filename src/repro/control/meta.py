@@ -34,9 +34,8 @@ Three loops, each a :class:`~repro.control.pid.PIDController`:
   closed-loop.  Off by default because changing the share moves the
   capacity ``C`` of the oracle itself.
 
-Every applied adjustment is recorded through a pluggable
-:class:`~repro.control.backend.StateBackend` (``MemoryBackend`` here;
-the interface is what a ``pels serve`` storage layer will implement).
+Every applied adjustment is recorded in ``backend``, a
+:class:`~repro.control.backend.MemoryBackend` audit log.
 
 The controller is clock-free and event-free: it only acts inside
 :meth:`step`, which the host calls from the router's epoch hook (sim)
@@ -51,7 +50,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
 from ..obs.monitor import EpochObservation
-from .backend import MemoryBackend, StateBackend
+from .backend import MemoryBackend
 from .pid import PIDController
 
 __all__ = ["MetaControllerConfig", "MetaController"]
@@ -110,10 +109,9 @@ class MetaControllerConfig:
 class MetaController:
     """Online PID tuning of an attached PELS control plane."""
 
-    def __init__(self, config: Optional[MetaControllerConfig] = None,
-                 backend: Optional[StateBackend] = None) -> None:
+    def __init__(self, config: Optional[MetaControllerConfig] = None) -> None:
         self.config = config or MetaControllerConfig()
-        self.backend = backend if backend is not None else MemoryBackend()
+        self.backend = MemoryBackend()
         c = self.config
 
         #: One rate PID per bound flow — created by :meth:`bind`.

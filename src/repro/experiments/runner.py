@@ -28,7 +28,10 @@ crashes; ``--out-dir`` checkpoints each artifact as it completes and
 from __future__ import annotations
 
 import argparse
+import multiprocessing
+import os
 import sys
+import threading
 import time
 import traceback
 from typing import Callable, Dict, List, Optional, Tuple
@@ -40,9 +43,11 @@ from . import (ablations, bursts_exp, capacity, chaos, closed_loop_be,
                fig10, heterogeneous, live_chaos, live_exp, live_load,
                multihop, rd_smoothing, scaling, service_exp, table1)
 from ..core.retry import backoff_delay
+from ..service.storage import write_atomic
 from .common import ExperimentResult
 
-__all__ = ["EXPERIMENTS", "describe_registry", "run_all", "main"]
+__all__ = ["EXPERIMENTS", "describe_registry", "run_all", "run_in_child",
+           "main"]
 
 EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
     "T1": table1.run,
@@ -258,18 +263,86 @@ def _run_one(key: str, fast: bool, retries: int = 0,
                 + " / ".join(tail), attempt, time.perf_counter() - t0)
 
 
-def _child_run(conn, key: str, fast: bool, jobs: int = 1,
-               chunk: Optional[int] = None) -> None:
-    """Entry point of the per-experiment isolation process."""
-    try:
-        conn.send(_run_one(key, fast, jobs=jobs, chunk=chunk))
-    except BaseException as exc:  # pragma: no cover - belt and braces
-        try:
-            conn.send(_failure_result(key, "worker-error", repr(exc), 1, 0.0))
-        except Exception:
-            pass
-    finally:
+#: Poll slice of ``run_in_child``: how late a ``tick`` or the deadline
+#: may fire (a result is picked up as soon as it arrives).
+_POLL_SLICE = 0.1
+
+
+def _child_main(target: Callable, args: tuple, result_conn, control_conn,
+                parent_ends: tuple) -> None:
+    """Entry point of every experiment-execution child process."""
+    # Drop the inherited parent-side pipe ends (fork duplicates them):
+    # a kept copy of the control pipe's write end would hide the
+    # parent's death from the watcher below.
+    for conn in parent_ends:
         conn.close()
+
+    def _watch() -> None:
+        # EOF: the parent died or cancelled.  Stop *now*, so an orphan
+        # never burns CPU or writes what its retried twin will write.
+        try:
+            control_conn.recv()
+        except (EOFError, OSError):
+            pass
+        os._exit(2)
+
+    threading.Thread(target=_watch, daemon=True).start()
+    result_conn.send(target(*args))
+    result_conn.close()
+
+
+def run_in_child(target: Callable, args: tuple,
+                 timeout: Optional[float] = None,
+                 tick: Optional[Callable[[], bool]] = None):
+    """Run ``target(*args)`` in a disposable child process.
+
+    Returns ``(result, None)`` on success and ``(None, (kind, message))``
+    on failure, where ``kind`` is ``"timeout"`` (``timeout`` seconds
+    elapsed; the child is terminated), ``"worker-died"`` (the child
+    exited without a result: hard crash, OOM kill) or ``"cancelled"``
+    (``tick``, called every ``_POLL_SLICE`` seconds while the child
+    runs, returned True).
+
+    The child is orphan-safe: it exits the instant its control pipe
+    to this process closes, so a SIGKILLed parent takes its
+    experiment down with it.
+    """
+    ctx = multiprocessing.get_context()
+    result_recv, result_send = ctx.Pipe(duplex=False)
+    control_recv, control_send = ctx.Pipe(duplex=False)
+    # Non-daemonic: experiments may spawn their own children (L2's
+    # router shards, S1/S2's internal sweep pools), which daemonic
+    # processes are forbidden to do.
+    proc = ctx.Process(target=_child_main,
+                       args=(target, args, result_send, control_recv,
+                             (result_recv, control_send)),
+                       daemon=False)
+    proc.start()
+    result_send.close()
+    control_recv.close()
+
+    deadline = None if timeout is None else time.monotonic() + timeout
+    try:
+        while True:
+            if tick is not None and tick():
+                return None, ("cancelled", "stopped on request")
+            if deadline is not None and time.monotonic() >= deadline:
+                proc.terminate()
+                return None, ("timeout", f"exceeded {timeout:.0f}s wall clock")
+            if result_recv.poll(_POLL_SLICE):
+                try:
+                    return result_recv.recv(), None
+                except EOFError:
+                    return None, ("worker-died",
+                                  f"child died without a result "
+                                  f"(exitcode {proc.exitcode})")
+    finally:
+        control_send.close()
+        result_recv.close()
+        proc.join(timeout=5.0)
+        if proc.is_alive():  # pragma: no cover - stuck child
+            proc.kill()
+            proc.join()
 
 
 def _run_isolated(key: str, fast: bool, timeout: Optional[float],
@@ -285,42 +358,16 @@ def _run_isolated(key: str, fast: bool, timeout: Optional[float],
     The ``jobs``/``chunk`` sweep budget reaches the child's experiment
     exactly as it would in-process (``_sweep_kwargs`` decides).
     """
-    import multiprocessing
-
-    ctx = multiprocessing.get_context()
     t0 = time.perf_counter()
     attempt = 0
     while True:
         attempt += 1
-        recv, send = ctx.Pipe(duplex=False)
-        # Non-daemonic: experiments may spawn their own children (L2's
-        # router shards, S1/S2's internal sweep pools), which daemonic
-        # processes are forbidden to do.  Orphan safety comes from the
-        # children themselves: they watch their control pipes and exit
-        # on EOF when this process is terminated.
-        proc = ctx.Process(target=_child_run,
-                           args=(send, key, fast, jobs, chunk),
-                           daemon=False)
-        proc.start()
-        send.close()
-        failure: Optional[Tuple[str, str]] = None
-        if recv.poll(timeout):
-            try:
-                result = recv.recv()
-            except EOFError:
-                failure = ("worker-died",
-                           f"isolation process exited without a result "
-                           f"(exitcode {proc.exitcode})")
-            else:
-                recv.close()
-                proc.join()
-                result.wall_time = time.perf_counter() - t0
-                return result
-        else:
-            failure = ("timeout", f"exceeded {timeout:.0f}s wall clock")
-            proc.terminate()
-        recv.close()
-        proc.join()
+        # One attempt per child (retries=0): retries and backoff are here.
+        result, failure = run_in_child(
+            _run_one, (key, fast, 0, backoff, jobs, chunk), timeout=timeout)
+        if failure is None:
+            result.wall_time = time.perf_counter() - t0
+            return result
         if attempt > retries:
             return _failure_result(key, failure[0], failure[1], attempt,
                                    time.perf_counter() - t0)
@@ -353,11 +400,9 @@ def _write_checkpoint(out_dir: str, key: str,
     from .export import result_to_dict
     path = _checkpoint_path(out_dir, key)
     path.parent.mkdir(parents=True, exist_ok=True)
-    # Write-then-rename so an interrupted run never leaves a truncated
-    # checkpoint that --resume would trip over.
-    tmp = path.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(result_to_dict(result), indent=2))
-    tmp.replace(path)
+    # Atomic so an interrupted run never leaves a truncated checkpoint
+    # that --resume would trip over.
+    write_atomic(path, json.dumps(result_to_dict(result), indent=2))
 
 
 def run_all(fast: bool = False, only: str = "",

@@ -5,13 +5,12 @@ in an operable service: jobs are submitted over HTTP, queued in
 persistent storage, executed by a pool of worker processes (heartbeats,
 stale-job requeue, crash isolation), their ``obs`` metric snapshots
 streamed to subscribed clients while they run, and their artifacts kept
-in a pluggable storage backend for later fetching and baseline
-comparison.
+in the storage directory for later fetching and baseline comparison.
 
 Modules:
 
-* :mod:`repro.service.storage` — ``StorageBackend`` protocol and the
-  filesystem JSON backend (atomic writes, O_EXCL claims).
+* :mod:`repro.service.storage` — ``FileStorage``, the filesystem JSON
+  store (atomic writes, O_EXCL claims).
 * :mod:`repro.service.queue` — persistent job queue and state machine
   (``queued -> running -> done/failed/cancelled``).
 * :mod:`repro.service.worker` — worker processes pulling from the
@@ -24,7 +23,7 @@ Modules:
 """
 
 from .queue import (JOB_STATES, TERMINAL_STATES, Job, JobQueue)
-from .storage import FileStorage, StorageBackend
+from .storage import FileStorage
 
 __all__ = ["JOB_STATES", "TERMINAL_STATES", "Job", "JobQueue",
-           "FileStorage", "StorageBackend"]
+           "FileStorage"]

@@ -1,16 +1,16 @@
 """Persistent job queue: the service's state machine of record.
 
 A :class:`Job` moves ``queued -> running -> done | failed | cancelled``.
-Every transition is persisted through the storage backend before it is
-acted on, so a service restart reconstructs the queue exactly: done
-jobs keep their artifacts, queued jobs wait, and running jobs whose
-worker disappeared are requeued (see :meth:`JobQueue.requeue_stale`).
+Every transition is persisted to storage before it is acted on, so a
+service restart reconstructs the queue exactly: done jobs keep their
+artifacts, queued jobs wait, and running jobs whose worker disappeared
+are requeued (see :meth:`JobQueue.requeue_stale`).
 
 Ownership is decided by the storage claim primitive (O_EXCL file
-creation on the filesystem backend), not by the record itself: N
-worker processes scanning the same directory race, exactly one wins,
-and the loser moves on to the next candidate.  The record's ``worker``
-field is bookkeeping written *after* the claim succeeds.
+creation), not by the record itself: N worker processes scanning the
+same directory race, exactly one wins, and the loser moves on to the
+next candidate.  The record's ``worker`` field is bookkeeping written
+*after* the claim succeeds.
 
 Failure budgets are split in two, mirroring the runner's philosophy:
 
@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional
 
 from ..core.retry import backoff_delay
-from .storage import StorageBackend
+from .storage import FileStorage
 
 __all__ = ["JOB_STATES", "TERMINAL_STATES", "MAX_REQUEUES", "Job",
            "JobQueue"]
@@ -107,15 +107,15 @@ class Job:
 
 
 class JobQueue:
-    """Queue operations over a storage backend; safe across processes.
+    """Queue operations over a storage directory; safe across processes.
 
     Several queue instances (the API process, every worker process)
-    operate on the same backend concurrently.  The claim primitive
+    operate on the same storage concurrently.  The claim primitive
     serializes ownership; record saves are atomic; scans tolerate
     records appearing, finishing and vanishing mid-iteration.
     """
 
-    def __init__(self, storage: StorageBackend) -> None:
+    def __init__(self, storage: FileStorage) -> None:
         self.storage = storage
         #: Terminal records already read, by job id.  No transition
         #: leaves done/failed/cancelled, so the disk copy cannot change.

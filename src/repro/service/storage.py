@@ -1,13 +1,11 @@
-"""Pluggable persistence for the service layer.
+"""Persistence for the service layer.
 
 Everything the service remembers — job records, result artifacts,
-benchmark baselines, worker heartbeats, live job streams — goes
-through the :class:`StorageBackend` protocol, so the filesystem JSON
-backend shipped here can be swapped for a database- or object-store
-backend without touching the queue, workers or API.
+benchmark baselines, worker heartbeats, live job streams — lives in a
+:class:`FileStorage` directory of JSON documents.
 
-The filesystem backend follows the runner's atomic-checkpoint
-discipline: every record is written to a uniquely named temp file and
+Every record is written with :func:`write_atomic` (the runner's
+``--out-dir`` checkpoints use it too): a uniquely named temp file is
 ``rename``d into place, so a crash mid-write never leaves a truncated
 document behind and concurrent writers never interleave.  Claims use
 ``open(..., "x")`` (O_CREAT|O_EXCL), the one filesystem primitive that
@@ -31,72 +29,23 @@ import select
 import stat
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Protocol, Tuple, runtime_checkable
+from typing import Dict, List, Optional, Tuple
 
-__all__ = ["StorageBackend", "FileStorage", "WakeChannel"]
+__all__ = ["FileStorage", "WakeChannel", "write_atomic"]
 
 
-@runtime_checkable
-class StorageBackend(Protocol):
-    """What the queue, workers and API need from persistence.
+def write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` so readers never see a partial file.
 
-    All payloads are JSON-ready dicts; implementations own atomicity
-    (a reader never observes a half-written record) and corruption
-    recovery (an unreadable record loads as ``None``, never raises).
+    The text goes to a uniquely named temp file (pid + monotonic ns)
+    that is then renamed into place: concurrent writers to the same
+    path must not truncate each other's temp files, which a fixed
+    ".tmp" suffix would allow.
     """
-
-    # -- job records -------------------------------------------------------
-
-    def save_job(self, job_id: str, payload: dict) -> None: ...
-
-    def load_job(self, job_id: str) -> Optional[dict]: ...
-
-    def list_job_ids(self) -> List[str]: ...
-
-    # -- claims (atomic across processes) ----------------------------------
-
-    def try_claim(self, job_id: str, owner: str) -> bool: ...
-
-    def release_claim(self, job_id: str) -> None: ...
-
-    def claim_owner(self, job_id: str) -> Optional[str]: ...
-
-    # -- artifacts ---------------------------------------------------------
-
-    def save_artifact(self, job_id: str, payload: dict) -> None: ...
-
-    def load_artifact(self, job_id: str) -> Optional[dict]: ...
-
-    def list_artifact_ids(self) -> List[str]: ...
-
-    # -- baselines ---------------------------------------------------------
-
-    def save_baseline(self, name: str, payload: dict) -> None: ...
-
-    def load_baseline(self, name: str) -> Optional[dict]: ...
-
-    def list_baseline_names(self) -> List[str]: ...
-
-    # -- worker heartbeats -------------------------------------------------
-
-    def beat(self, worker_id: str, payload: dict) -> None: ...
-
-    def heartbeats(self) -> Dict[str, dict]: ...
-
-    # -- job streams (append-only JSONL) -----------------------------------
-
-    def append_stream(self, job_id: str, lines: List[str]) -> None: ...
-
-    def reset_stream(self, job_id: str) -> None: ...
-
-    def read_stream(self, job_id: str,
-                    offset: int = 0) -> Tuple[List[str], int]: ...
-
-    # -- wake hints (best effort; job records stay authoritative) ----------
-
-    def wake_channel(self, worker_id: str) -> "WakeChannel": ...
-
-    def wake_workers(self) -> None: ...
+    tmp = path.with_name(
+        f"{path.name}.{os.getpid()}.{time.monotonic_ns()}.tmp")
+    tmp.write_text(text)
+    tmp.replace(path)
 
 
 def _safe_name(name: str) -> str:
@@ -107,7 +56,7 @@ def _safe_name(name: str) -> str:
 
 
 class FileStorage:
-    """Filesystem JSON backend: one document per file, atomic writes.
+    """Filesystem JSON store: one document per file, atomic writes.
 
     Layout under ``root``::
 
@@ -127,15 +76,6 @@ class FileStorage:
             (self.root / sub).mkdir(parents=True, exist_ok=True)
 
     # -- primitives --------------------------------------------------------
-
-    def _write_atomic(self, path: Path, text: str) -> None:
-        # Unique temp name (pid + monotonic ns): concurrent writers to
-        # the same logical record must not truncate each other's temp
-        # files, which a fixed ".tmp" suffix would allow.
-        tmp = path.with_name(
-            f"{path.name}.{os.getpid()}.{time.monotonic_ns()}.tmp")
-        tmp.write_text(text)
-        tmp.replace(path)
 
     def _load_json(self, path: Path) -> Optional[dict]:
         try:
@@ -166,8 +106,7 @@ class FileStorage:
 
     def save_job(self, job_id: str, payload: dict) -> None:
         path = self.root / "jobs" / f"{_safe_name(job_id)}.json"
-        self._write_atomic(path, json.dumps(payload, indent=2,
-                                            sort_keys=True))
+        write_atomic(path, json.dumps(payload, indent=2, sort_keys=True))
 
     def load_job(self, job_id: str) -> Optional[dict]:
         return self._load_json(self.root / "jobs"
@@ -205,8 +144,7 @@ class FileStorage:
 
     def save_artifact(self, job_id: str, payload: dict) -> None:
         path = self.root / "artifacts" / f"{_safe_name(job_id)}.json"
-        self._write_atomic(path, json.dumps(payload, indent=2,
-                                            sort_keys=True))
+        write_atomic(path, json.dumps(payload, indent=2, sort_keys=True))
 
     def load_artifact(self, job_id: str) -> Optional[dict]:
         return self._load_json(self.root / "artifacts"
@@ -219,8 +157,7 @@ class FileStorage:
 
     def save_baseline(self, name: str, payload: dict) -> None:
         path = self.root / "baselines" / f"{_safe_name(name)}.json"
-        self._write_atomic(path, json.dumps(payload, indent=2,
-                                            sort_keys=True))
+        write_atomic(path, json.dumps(payload, indent=2, sort_keys=True))
 
     def load_baseline(self, name: str) -> Optional[dict]:
         return self._load_json(self.root / "baselines"
@@ -233,7 +170,7 @@ class FileStorage:
 
     def beat(self, worker_id: str, payload: dict) -> None:
         path = self.root / "heartbeats" / f"{_safe_name(worker_id)}.json"
-        self._write_atomic(path, json.dumps(payload, sort_keys=True))
+        write_atomic(path, json.dumps(payload, sort_keys=True))
 
     def heartbeats(self) -> Dict[str, dict]:
         out: Dict[str, dict] = {}
@@ -263,7 +200,7 @@ class FileStorage:
             handle.write("".join(line + "\n" for line in lines))
 
     def reset_stream(self, job_id: str) -> None:
-        self._write_atomic(self._stream_path(job_id), "")
+        write_atomic(self._stream_path(job_id), "")
 
     def read_stream(self, job_id: str,
                     offset: int = 0) -> Tuple[List[str], int]:

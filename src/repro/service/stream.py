@@ -25,7 +25,7 @@ import struct
 from typing import List, Optional, Tuple
 
 from .queue import JobQueue
-from .storage import StorageBackend
+from .storage import FileStorage
 
 __all__ = ["accept_key", "encode_frame", "FrameParser", "stream_job",
            "OP_TEXT", "OP_CLOSE", "OP_PING", "OP_PONG"]
@@ -151,7 +151,7 @@ class FrameParser:
 
 async def stream_job(reader: asyncio.StreamReader,
                      writer: asyncio.StreamWriter,
-                     storage: StorageBackend, queue: JobQueue,
+                     storage: FileStorage, queue: JobQueue,
                      job_id: str, *, offset: int = 0,
                      poll: float = 0.15) -> None:
     """Tail a job's stream over an upgraded WebSocket connection.

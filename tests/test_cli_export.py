@@ -80,6 +80,9 @@ class TestSimulateCommand:
     def test_experiments_passthrough(self, capsys):
         assert main(["experiments", "--fast", "--only", "T1"]) == 0
         assert "T1" in capsys.readouterr().out
+        # Runner flags the old re-declared subparser lacked.
+        assert main(["experiments", "--fast", "--only", "T1", "--plot"]) == 0
+        assert "T1" in capsys.readouterr().out
 
 
 class TestExport:

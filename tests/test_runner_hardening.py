@@ -8,7 +8,11 @@ isolation children, so the failure paths are exercised for real.
 from __future__ import annotations
 
 import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -146,6 +150,58 @@ class TestIsolation:
         by_id = {r.experiment_id: r for r in results}
         assert not failed(by_id["OK"])
         assert failed(by_id["HANG"])
+
+    def test_isolation_child_dies_with_a_killed_runner(self, tmp_path):
+        # A runner process on a hung experiment whose isolation child
+        # writes its pid; SIGKILLing the runner must take the child
+        # down with it instead of leaving an orphan running.
+        pid_file = tmp_path / "child.pid"
+        script = (
+            "import os, time\n"
+            "from repro.experiments import runner\n"
+            "def hang(fast=False):\n"
+            f"    open({str(pid_file)!r}, 'w').write(str(os.getpid()))\n"
+            "    time.sleep(60.0)\n"
+            "runner._REGISTRY = {'HANG': hang}\n"
+            "runner._run_isolated('HANG', True, timeout=60.0)\n")
+        src = str(Path(runner.__file__).parents[2])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen([sys.executable, "-c", script], env=env)
+        child = None
+        try:
+            deadline = time.monotonic() + 30.0
+            while child is None and time.monotonic() < deadline:
+                if pid_file.exists() and pid_file.read_text():
+                    child = int(pid_file.read_text())
+                time.sleep(0.02)
+            assert child is not None, "isolation child never started"
+            proc.kill()
+            proc.wait()
+            deadline = time.monotonic() + 2.0
+            while _alive(child) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert not _alive(child), "orphaned isolation child survived"
+        finally:
+            proc.kill()
+            proc.wait()
+            if child is not None and _alive(child):
+                os.kill(child, signal.SIGKILL)
+
+
+def _alive(pid):
+    """Whether ``pid`` is a running process (zombies count as dead)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+    except OSError:  # pragma: no cover - no procfs
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
 
 
 def _sweepy_run(fast=False, jobs=1, chunk=None):

@@ -1,4 +1,4 @@
-"""StorageBackend protocol and the filesystem JSON backend.
+"""The filesystem JSON store behind the service layer.
 
 Satellite coverage demanded by the service PR: round-trips for every
 record family, corrupt-file recovery, and concurrent-writer atomicity
@@ -14,7 +14,7 @@ import stat
 
 import pytest
 
-from repro.service.storage import FileStorage, StorageBackend
+from repro.service.storage import FileStorage
 
 
 @pytest.fixture()
@@ -22,10 +22,7 @@ def storage(tmp_path):
     return FileStorage(tmp_path / "store")
 
 
-class TestProtocol:
-    def test_file_backend_satisfies_protocol(self, storage):
-        assert isinstance(storage, StorageBackend)
-
+class TestLayout:
     def test_layout_created(self, storage):
         for sub in ("jobs", "claims", "artifacts", "baselines",
                     "heartbeats", "streams", "wake"):
