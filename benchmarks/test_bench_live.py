@@ -65,8 +65,7 @@ def test_bench_router_hot_path(once):
                                                green_buffer=256,
                                                yellow_buffer=512,
                                                red_buffer=256,
-                                               internet_buffer=16),
-                        recv_batch=batch)
+                                               internet_buffer=16))
     router.transport = _CountingTransport()
     router.dst_addr = ("127.0.0.1", 9)
 
@@ -186,15 +185,14 @@ def test_bench_gateway_admission(once):
 SUPERVISION_OVERHEAD_CEILING = 0.05
 
 
-def _hot_path_router(batch: int) -> LiveRouter:
+def _hot_path_router() -> LiveRouter:
     router = LiveRouter(ManualClock(), bottleneck_bps=1e9,
                         config=PelsQueueConfig(pels_weight=1.0,
                                                internet_weight=1e-6,
                                                green_buffer=256,
                                                yellow_buffer=512,
                                                red_buffer=256,
-                                               internet_buffer=16),
-                        recv_batch=batch)
+                                               internet_buffer=16))
     router.transport = _CountingTransport()
     router.dst_addr = ("127.0.0.1", 9)
     return router
@@ -218,7 +216,7 @@ def test_bench_supervised_router_hot_path(once):
     ticks_per_slice = 20
     cycle = _datagram_cycle(batch)
     shard_config = ShardConfig(shard_id=1, bottleneck_bps=1e9)
-    router = _hot_path_router(batch)
+    router = _hot_path_router()
     started = time.monotonic()
 
     def loop(service: bool, ticks: int = total_ticks) -> float:

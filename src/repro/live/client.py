@@ -10,11 +10,17 @@ deliberately bypasses the router — the uncongested-reverse-path model
 of DESIGN.md §5 — and per-packet echo plus the server-side epoch
 freshness filter reproduce the simulator's feedback loop exactly: any
 surviving ACK of an epoch delivers the identical label.
+
+The per-datagram path is one pass: :func:`~repro.live.wire.unpack_header`
+unpacks and validates the header once (the same checks as
+:func:`~repro.live.wire.decode_packet`), and the ACK is one
+``HEADER.pack`` of the received fields — no :class:`LivePacket` round
+trip.  Every rejected datagram — malformed, or an ACK arriving at the
+receiver — is counted in :attr:`LiveClient.malformed`.
 """
 
 from __future__ import annotations
 
-import asyncio
 from typing import Dict, List, Optional, Tuple
 
 from ..core.clock import Clock
@@ -22,7 +28,8 @@ from ..obs.trace import current_tracer
 from ..sim.packet import Color, FeedbackLabel
 from ..sim.stats import DelayProbe
 from ..video.decoder import FrameReception
-from .wire import LivePacket, WireFormatError, decode_packet, encode_packet
+from .wire import (HEADER, MAGIC, PTYPE_ACK, PTYPE_DATA, VERSION,
+                   WireFormatError, unpack_header)
 
 __all__ = ["FlowReceiver", "LiveClient"]
 
@@ -78,8 +85,18 @@ class FlowReceiver:
         return out
 
 
-class LiveClient(asyncio.DatagramProtocol):
-    """Receiving endpoint for every flow of a live session."""
+#: Raw color bytes (see wire.py).
+_GREEN = int(Color.GREEN)
+_BE = int(Color.BEST_EFFORT)
+
+
+class LiveClient:
+    """Receiving endpoint for every flow of a live session.
+
+    :meth:`datagram_received` is the handler of the client's
+    :class:`~repro.live.endpoint.DatagramEndpoint`; ACKs leave through
+    :attr:`transport` (anything with ``sendto(data, addr)``).
+    """
 
     def __init__(self, clock: Clock, green_packets: int = 21,
                  delay_series_stride: int = 1) -> None:
@@ -89,13 +106,10 @@ class LiveClient(asyncio.DatagramProtocol):
         self.flows: Dict[int, FlowReceiver] = {}
         #: Where ACKs go (the server's endpoint, set by the session).
         self.server_addr: Optional[Tuple[str, int]] = None
-        self.transport: Optional[asyncio.DatagramTransport] = None
+        self.transport = None
         self.cross_packets_received = 0
         self.malformed = 0
         self._trace = current_tracer()
-
-    def connection_made(self, transport) -> None:
-        self.transport = transport
 
     def flow(self, flow_id: int) -> FlowReceiver:
         receiver = self.flows.get(flow_id)
@@ -107,53 +121,44 @@ class LiveClient(asyncio.DatagramProtocol):
 
     def datagram_received(self, data: bytes, addr) -> None:
         try:
-            packet = decode_packet(data)
+            (_, _, ptype, flow_id, seq, frame_id, index, color, router_id,
+             epoch, loss, sent_at) = unpack_header(data)
         except WireFormatError:
             self.malformed += 1
             return
-        if packet.is_ack:
+        if ptype != PTYPE_DATA:
+            self.malformed += 1
             return
-        if packet.color is Color.BEST_EFFORT:
+        if color == _BE:
             self.cross_packets_received += 1
             return
         now = self.clock.now
-        receiver = self.flow(packet.flow_id)
+        receiver = self.flows.get(flow_id)
+        if receiver is None:
+            receiver = self.flow(flow_id)
         receiver.packets_received += 1
-        receiver.bytes_received += packet.size
-        probe = receiver._probe_by_color[packet.color]
-        if probe is not None:
-            probe.record(now, now - packet.sent_at)
-        self._account_frame(receiver, packet)
-        label = packet.label
-        if label is not None:
+        receiver.bytes_received += len(data)
+        receiver._probe_by_color[color].record(now, now - sent_at)
+        if frame_id >= 0 and index >= 0:
+            reception = receiver.frames.get(frame_id)
+            if reception is None:
+                reception = FrameReception(frame_id=frame_id)
+                receiver.frames[frame_id] = reception
+            if color == _GREEN:
+                reception.green_received += 1
+            else:
+                # Green occupies indices [0, green_packets); enhancement
+                # indices are relative to the first FGS packet.
+                reception.enhancement_received.add(
+                    index - receiver.green_packets)
+        if router_id:
             previous = receiver.last_label
-            if previous is None or label.router_id != previous.router_id \
-                    or label.epoch > previous.epoch:
-                receiver.last_label = label
-        self._ack(packet, now)
-
-    def _account_frame(self, receiver: FlowReceiver,
-                       packet: LivePacket) -> None:
-        if packet.frame_id is None or packet.index_in_frame is None:
-            return
-        reception = receiver.frames.get(packet.frame_id)
-        if reception is None:
-            reception = FrameReception(frame_id=packet.frame_id)
-            receiver.frames[packet.frame_id] = reception
-        if packet.color is Color.GREEN:
-            reception.green_received += 1
-        else:
-            # Green occupies indices [0, green_packets); enhancement
-            # indices are relative to the first FGS packet.
-            reception.enhancement_received.add(
-                packet.index_in_frame - receiver.green_packets)
-
-    def _ack(self, packet: LivePacket, now: float) -> None:
-        """Echo the packet's label to the server, router bypassed."""
-        if self.transport is None or self.server_addr is None:
-            return
-        ack = LivePacket(flow_id=packet.flow_id, seq=packet.seq,
-                         color=packet.color, is_ack=True,
-                         router_id=packet.router_id, epoch=packet.epoch,
-                         loss=packet.loss, sent_at=now)
-        self.transport.sendto(encode_packet(ack), self.server_addr)
+            if previous is None or router_id != previous.router_id \
+                    or epoch > previous.epoch:
+                receiver.last_label = FeedbackLabel(router_id, epoch, loss)
+        # Echo the label to the server, router bypassed.
+        if self.transport is not None and self.server_addr is not None:
+            self.transport.sendto(
+                HEADER.pack(MAGIC, VERSION, PTYPE_ACK, flow_id, seq, -1, -1,
+                            color, router_id, epoch, loss, now),
+                self.server_addr)

@@ -52,7 +52,6 @@ from __future__ import annotations
 import asyncio
 import math
 import random
-import socket
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -64,11 +63,12 @@ from ..faults.live import AsyncFaultDriver
 from ..faults.schedule import FaultSchedule
 from ..video.fgs import FgsConfig
 from .client import LiveClient
+from .endpoint import DatagramEndpoint
 from .gateway import (REASON_SHARD_DOWN, REASON_SHARD_OVERLOADED,
                       AdmissionDecision, LiveGateway, TenantPolicy,
                       TransientRegistrationError)
 from .server import LiveServer
-from .shard import RouterShard, ShardConfig, ShardStats, SOCKET_BUFFER_BYTES
+from .shard import RouterShard, ShardConfig, ShardStats
 from .supervisor import ShardSupervisor, SupervisorConfig
 
 __all__ = ["LoadConfig", "ShardLoad", "LoadResult", "ChaosContext",
@@ -340,18 +340,6 @@ def _percentile(samples: List[float], q: float) -> float:
                        max(0, math.ceil(q * len(ordered)) - 1))]
 
 
-def _endpoint_socket(host: str) -> socket.socket:
-    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    for opt in (socket.SO_RCVBUF, socket.SO_SNDBUF):
-        try:
-            sock.setsockopt(socket.SOL_SOCKET, opt, SOCKET_BUFFER_BYTES)
-        except OSError:
-            pass
-    sock.bind((host, 0))
-    sock.setblocking(False)
-    return sock
-
-
 async def _drive(config: LoadConfig, shards: List[RouterShard],
                  spawned: List[RouterShard],
                  chaos: Optional[Callable[[ChaosContext],
@@ -363,11 +351,12 @@ async def _drive(config: LoadConfig, shards: List[RouterShard],
     loop = asyncio.get_running_loop()
 
     client = LiveClient(clock, green_packets=config.fgs.green_packets)
-    client_transport, _ = await loop.create_datagram_endpoint(
-        lambda: client, sock=_endpoint_socket(config.host))
-    client_addr = client_transport.get_extra_info("sockname")[:2]
+    client.transport = client_endpoint = DatagramEndpoint(
+        client.datagram_received, config.host,
+        recv_batch=config.recv_batch, loop=loop)
+    client_addr = client_endpoint.sockname
 
-    server_transport = None
+    server_endpoint: Optional[DatagramEndpoint] = None
     supervisor: Optional[ShardSupervisor] = None
     driver: Optional[AsyncFaultDriver] = None
     fault_schedule: Optional[FaultSchedule] = None
@@ -410,9 +399,10 @@ async def _drive(config: LoadConfig, shards: List[RouterShard],
             blind_backoff=config.blind_backoff)
         for decision in admitted:
             server.flows[decision.flow_id].dst_addr = decision.shard_addr
-        server_transport, _ = await loop.create_datagram_endpoint(
-            lambda: server, sock=_endpoint_socket(config.host))
-        client.server_addr = server_transport.get_extra_info("sockname")[:2]
+        server.transport = server_endpoint = DatagramEndpoint(
+            server.datagram_received, config.host,
+            recv_batch=config.recv_batch, loop=loop)
+        client.server_addr = server_endpoint.sockname
 
         flow_slot = {d.flow_id: d.shard_slot for d in admitted}
         churn_ids: List[int] = []
@@ -484,9 +474,9 @@ async def _drive(config: LoadConfig, shards: List[RouterShard],
             await supervisor.stop()
         if driver is not None:
             driver.cancel()
-        if server_transport is not None:
-            server_transport.close()
-        client_transport.close()
+        if server_endpoint is not None:
+            server_endpoint.close()
+        client_endpoint.close()
     elapsed = clock.now
     window = elapsed - window_started
 

@@ -26,12 +26,18 @@ sustain >=10k pkts/s; ``benchmarks/test_bench_live.py`` gates it):
 
 * classification peeks the raw color byte and indexes flat lists — no
   ``Color`` enum construction, no dict hashing, no header decode;
+* ingest gates each datagram with one ``startswith`` against the
+  valid data-packet prefix (magic, version, type); anything else —
+  stray bytes, ACKs, a foreign magic, an unknown color — is counted in
+  :attr:`LiveRouter.malformed` and never reaches the Eq. 11 byte count
+  or a queue;
 * the forwarding path peeks the flow id with a cached 4-byte ``Struct``
   for the route lookup and re-stamps the label with ``pack_into`` —
   the 48-byte header is never fully unpacked inside the router;
-* when bound to a raw socket (:meth:`bind_socket`, the shard-process
-  mode), one readiness wake-up of the event loop drains a whole batch
-  of datagrams instead of paying the loop overhead per packet;
+* the router's socket is a :class:`~repro.live.endpoint.DatagramEndpoint`
+  with :meth:`LiveRouter._ingest` as its handler, so one readiness
+  wake-up of the event loop drains a whole batch of datagrams instead
+  of paying the loop overhead per packet;
 * the service loop's queue handles and counters are pre-bound locals —
   ``_drain`` is a straight-line byte-credit loop.
 
@@ -51,7 +57,6 @@ exact.
 from __future__ import annotations
 
 import asyncio
-import socket
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
@@ -62,7 +67,7 @@ from ..obs.metrics import current_registry
 from ..obs.trace import current_tracer
 from ..sim.packet import Color
 from ..sim.stats import TimeSeries
-from .wire import HEADER_SIZE, peek_flow_id, stamp_label
+from .wire import DATA_PREFIX, HEADER_SIZE, peek_flow_id, stamp_label
 
 __all__ = ["LiveRouter"]
 
@@ -76,7 +81,7 @@ _BE = 3
 _COLOR_OFFSET = 20
 
 
-class LiveRouter(asyncio.DatagramProtocol):
+class LiveRouter:
     """Tri-color strict-priority + FIFO under WRR, on a wall clock.
 
     Parameters
@@ -100,36 +105,32 @@ class LiveRouter(asyncio.DatagramProtocol):
         Target sleep of the token-bucket service loop.  Each wake
         drains every packet the accumulated credit covers, so the tick
         bounds burstiness, not throughput.
-    recv_batch:
-        Datagrams read per event-loop wake in :meth:`bind_socket` mode
-        (one reader callback drains up to this many before yielding).
 
     Forwarding destinations: :attr:`flow_routes` maps a flow id to the
     receiver address the gateway registered for it; datagrams whose
     flow id has no route (cross traffic, the single-session stack) fall
-    back to :attr:`dst_addr`.
+    back to :attr:`dst_addr`.  Forwarded datagrams leave through
+    :attr:`transport` — anything with ``sendto(data, addr)``, in
+    practice the router's own
+    :class:`~repro.live.endpoint.DatagramEndpoint`.
     """
 
     def __init__(self, clock: Clock, bottleneck_bps: float,
                  config: Optional[PelsQueueConfig] = None,
                  interval: float = 0.030, router_id: int = 1,
                  window_intervals: int = 5,
-                 service_tick: float = 0.002,
-                 recv_batch: int = 64) -> None:
+                 service_tick: float = 0.002) -> None:
         if bottleneck_bps <= 0:
             raise ValueError("bottleneck rate must be positive")
         if router_id < 1:
             raise ValueError("router ids start at 1 (0 = unstamped)")
         if service_tick <= 0:
             raise ValueError("service tick must be positive")
-        if recv_batch < 1:
-            raise ValueError("recv batch must be at least one datagram")
         self.clock = clock
         self.bottleneck_bps = bottleneck_bps
         self.config = config or PelsQueueConfig()
         self.interval = interval
         self.service_tick = service_tick
-        self.recv_batch = recv_batch
         self.feedback = FeedbackComputer(
             bottleneck_bps * self.config.pels_share(), interval=interval,
             router_id=router_id, window_intervals=window_intervals)
@@ -149,6 +150,8 @@ class LiveRouter(asyncio.DatagramProtocol):
         self.arrivals = [0, 0, 0, 0]
         self.drops = [0, 0, 0, 0]
         self.forwarded = [0, 0, 0, 0]
+        #: Datagrams rejected at ingest (not a valid data packet).
+        self.malformed = 0
         #: Layered shedding state: 0 = off, 1 = shed red, 2 = shed
         #: red + yellow.  Green and best-effort are never shed.
         self.shed_level = 0
@@ -167,9 +170,7 @@ class LiveRouter(asyncio.DatagramProtocol):
         #: Per-flow forwarding destinations (gateway-installed routes).
         self.flow_routes: Dict[int, Tuple[str, int]] = {}
         self.dst_addr: Optional[Tuple[str, int]] = None
-        self.transport: Optional[asyncio.DatagramTransport] = None
-        self._sock: Optional[socket.socket] = None
-        self._sock_loop: Optional[asyncio.AbstractEventLoop] = None
+        self.transport = None
         self.loss_series = TimeSeries("virtual-loss")
         self.rate_series = TimeSeries("pels-arrival-rate")
         self._trace = current_tracer()
@@ -179,58 +180,21 @@ class LiveRouter(asyncio.DatagramProtocol):
         self._tasks: List[asyncio.Task] = []
         self._running = False
 
-    # -- asyncio protocol --------------------------------------------------
-
-    def connection_made(self, transport) -> None:
-        self.transport = transport
-
-    def datagram_received(self, data: bytes, addr) -> None:
-        self._ingest(data)
-
-    # -- raw-socket mode (shard processes) ---------------------------------
-
-    def bind_socket(self, sock: socket.socket,
-                    loop: Optional[asyncio.AbstractEventLoop] = None) -> None:
-        """Serve a non-blocking UDP socket with batched reads.
-
-        Registers a readiness callback that drains up to ``recv_batch``
-        datagrams per event-loop wake — the asyncio datagram protocol
-        pays one callback (and one loop iteration) per packet, which at
-        thousands of packets per second is the dominant cost.  The
-        socket is also the forwarding transport (``sock.sendto``).
-        """
-        if self.transport is not None:
-            raise RuntimeError("router already has a datagram transport")
-        sock.setblocking(False)
-        self._sock = sock
-        self._sock_loop = loop or asyncio.get_running_loop()
-        self._sock_loop.add_reader(sock.fileno(), self._on_readable)
-
-    def _on_readable(self) -> None:
-        """One readiness wake: ingest a batch of datagrams."""
-        recv = self._sock.recvfrom
-        ingest = self._ingest
-        for _ in range(self.recv_batch):
-            try:
-                data, _addr = recv(65536)
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
-                return
-            ingest(data)
-
     # -- ingest (hot path) -------------------------------------------------
 
-    def _ingest(self, data: bytes) -> None:
-        """Classify + enqueue; malformed datagrams are dropped.
+    def _ingest(self, data: bytes, addr=None) -> None:
+        """Classify + enqueue; malformed datagrams are counted, dropped.
 
-        Peeks the raw color byte instead of decoding the header; all
-        bookkeeping is flat-list indexing on it.
+        The endpoint handler (``addr`` is unused).  Gates on the data
+        prefix and peeks the raw color byte instead of decoding the
+        header; all bookkeeping is flat-list indexing on it.
         """
-        if len(data) < HEADER_SIZE:
+        if len(data) < HEADER_SIZE or not data.startswith(DATA_PREFIX):
+            self.malformed += 1
             return
         color = data[_COLOR_OFFSET]
         if color > _BE:
+            self.malformed += 1
             return
         self.arrivals[color] += 1
         if color != _BE:
@@ -272,9 +236,6 @@ class LiveRouter(asyncio.DatagramProtocol):
             task.cancel()
         await asyncio.gather(*self._tasks, return_exceptions=True)
         self._tasks = []
-        if self._sock is not None and self._sock_loop is not None:
-            self._sock_loop.remove_reader(self._sock.fileno())
-            self._sock_loop = None
 
     # -- service path ------------------------------------------------------
 
@@ -387,15 +348,8 @@ class LiveRouter(asyncio.DatagramProtocol):
         routes = self.flow_routes
         dst = routes.get(peek_flow_id(datagram), self.dst_addr) if routes \
             else self.dst_addr
-        if dst is None:
-            return
-        if self._sock is not None:
-            try:
-                self._sock.sendto(datagram, dst)
-            except (BlockingIOError, OSError):
-                pass  # full socket buffer == wire loss; drop silently
-        elif self.transport is not None:
-            self.transport.sendto(bytes(datagram), dst)
+        if dst is not None and self.transport is not None:
+            self.transport.sendto(datagram, dst)
 
     # -- Eq. 11 epochs -----------------------------------------------------
 

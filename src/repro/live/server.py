@@ -17,15 +17,23 @@ Two pacing modes share that frame logic:
   flow sleeps its own pace tick — simple, and fine for a handful of
   flows;
 * **tenant-grouped pacing** (``grouped_pacing=True``, the gateway
-  mode): one task per tenant advances every member flow's frame clock
-  each wake, so a thousand admitted flows cost a handful of timers per
-  tick instead of a thousand — the timer-wake amortization that makes
-  the sharded gateway's flow counts affordable.
+  mode): one task per tenant wakes every ``pace_tick`` and advances
+  only the member flows that are *due*, so a thousand admitted flows
+  cost a handful of timers per tick instead of a thousand — the
+  timer-wake amortization that makes the sharded gateway's flow counts
+  affordable.  A flow is due at the earlier of its frame deadline and
+  the instant its byte credit, accruing at the current controller
+  rate, covers the next planned packet; between those instants a wake
+  skips it.  An accepted ACK first settles the flow's credit at the
+  old rate up to now, then makes the flow due immediately, so a rate
+  change applies at the very next wake.
 
 ACKs from the client arrive on the same endpoint (the reverse path
-bypasses the router).  The ACK path peeks the flow id and the
-``(router_id, z, p)`` label with cached ``Struct`` slices instead of
-decoding the full 48-byte header; the per-flow
+bypasses the router).  The ACK path unpacks and validates the header
+in one pass (:func:`~repro.live.wire.unpack_header`); anything that is
+not a valid ACK — a malformed header, a label loss outside [0, 1], a
+non-finite timestamp — is counted in :attr:`LiveServer.malformed` and
+never reaches a controller.  The per-flow
 :class:`~repro.core.feedback.FeedbackTracker` admits each router epoch
 once, and a fresh loss sample drives the registered rate controller
 (Eq. 8 for MKC) and the Eq. 4 gamma controller — the same controller
@@ -55,8 +63,8 @@ from ..obs.trace import current_tracer
 from ..sim.packet import Color, FeedbackLabel
 from ..sim.stats import TimeSeries
 from ..video.fgs import FgsConfig, PacketPlan
-from .wire import (HEADER_SIZE, LivePacket, encode_packet, peek_flow_id,
-                   peek_is_valid, peek_label, peek_ptype)
+from .wire import (PTYPE_ACK, LivePacket, WireFormatError, encode_packet,
+                   unpack_header)
 
 __all__ = ["LiveFlow", "LiveServer", "CROSS_TRAFFIC_FLOW_ID"]
 
@@ -104,6 +112,8 @@ class LiveFlow:
         self.acks_received = 0
         #: frame_id -> (green, yellow, red) counts actually emitted.
         self.frame_log: Dict[int, Tuple[int, int, int]] = {}
+        #: The flow's grouped-pacer state (None in per-flow mode).
+        self.pace: Optional["_PaceState"] = None
 
     @property
     def rate_bps(self) -> float:
@@ -115,10 +125,15 @@ class LiveFlow:
 
 
 class _PaceState:
-    """Frame-clock state of one flow inside a grouped pacer task."""
+    """Frame-clock state of one flow inside a grouped pacer task.
+
+    ``due`` is the earliest clock time at which advancing the flow can
+    do anything: its next frame deadline, or the instant its credit
+    covers the next planned packet at the current rate.
+    """
 
     __slots__ = ("flow", "deadline", "plan", "pos", "counts", "credit",
-                 "last", "started")
+                 "last", "started", "due")
 
     def __init__(self, flow: LiveFlow, start_at: float) -> None:
         self.flow = flow
@@ -129,10 +144,15 @@ class _PaceState:
         self.credit = 0.0
         self.last = start_at
         self.started = False
+        self.due = start_at
 
 
-class LiveServer(asyncio.DatagramProtocol):
+class LiveServer:
     """All sending flows of a live session behind one UDP endpoint.
+
+    :meth:`datagram_received` is the handler of the server's
+    :class:`~repro.live.endpoint.DatagramEndpoint`; data leaves through
+    :attr:`transport` (anything with ``sendto(data, addr)``).
 
     Parameters mirror the simulator's ``PelsScenario`` controller /
     gamma blocks; ``controller_kwargs`` is passed verbatim to
@@ -181,6 +201,8 @@ class LiveServer(asyncio.DatagramProtocol):
             raise ValueError("blind backoff must be in (0, 1]")
         self.clock = clock
         self.fgs = fgs or FgsConfig(frame_packets=256)
+        #: Pacer credit cap: a long stall bursts at most this many bytes.
+        self._credit_cap = 8.0 * self.fgs.packet_size
         self.pace_tick = pace_tick
         self.cbr_rate_bps = cbr_rate_bps
         self.grouped_pacing = grouped_pacing
@@ -196,32 +218,36 @@ class LiveServer(asyncio.DatagramProtocol):
                 GammaController(**(gamma_kwargs or {})),
                 self.fgs, tenant=tenants.get(flow_id, ""))
         self.dst_addr: Optional[Tuple[str, int]] = None
-        self.transport: Optional[asyncio.DatagramTransport] = None
+        self.transport = None
         self.cross_packets_sent = 0
+        #: Datagrams rejected on the ACK path (not a valid ACK).
+        self.malformed = 0
         self._trace = current_tracer()
         self._tasks: List[asyncio.Task] = []
         self._running = False
 
-    # -- asyncio protocol --------------------------------------------------
-
-    def connection_made(self, transport) -> None:
-        self.transport = transport
+    # -- feedback path ----------------------------------------------------
 
     def datagram_received(self, data: bytes, addr) -> None:
         """Feedback path: ACKs echoing the freshest router label.
 
         Hot at gateway scale (one ACK per delivered data packet), so
-        the header is never fully decoded: validity, type, flow id and
-        the label are all cached-``Struct`` peeks.
+        the header is unpacked and validated once, without building a
+        :class:`~repro.live.wire.LivePacket`.
         """
-        if len(data) < HEADER_SIZE or peek_ptype(data) != 1 \
-                or not peek_is_valid(data):
+        try:
+            (_, _, ptype, flow_id, _, _, _, _, router_id, epoch,
+             loss_value, _) = unpack_header(data)
+        except WireFormatError:
+            self.malformed += 1
             return
-        flow = self.flows.get(peek_flow_id(data))
+        if ptype != PTYPE_ACK:
+            self.malformed += 1
+            return
+        flow = self.flows.get(flow_id)
         if flow is None:
             return
         flow.acks_received += 1
-        router_id, epoch, loss_value = peek_label(data)
         if router_id == 0:
             return  # no router has stamped this packet's path yet
         loss = flow.tracker.accept(FeedbackLabel(router_id, epoch,
@@ -229,6 +255,15 @@ class LiveServer(asyncio.DatagramProtocol):
         if loss is None:
             return
         now = self.clock.now
+        state = flow.pace
+        if state is not None and state.started:
+            # Settle the credit earned at the old rate, then let the
+            # next wake re-plan the flow's due time at the new one.
+            state.credit = min(self._credit_cap, state.credit +
+                               (now - state.last) *
+                               flow.controller.rate_bps / 8)
+            state.last = now
+            state.due = now
         flow.last_feedback = now
         flow.controller.on_feedback(loss, now)
         flow.gamma_controller.update(loss)
@@ -303,7 +338,7 @@ class LiveServer(asyncio.DatagramProtocol):
         """
         pos = 0
         credit = float(self.fgs.packet_size)  # first packet goes now
-        cap = 8.0 * self.fgs.packet_size
+        cap = self._credit_cap
         last = self.clock.now
         while pos < len(plan) and self._running:
             now = self.clock.now
@@ -324,29 +359,37 @@ class LiveServer(asyncio.DatagramProtocol):
     # -- transmit path (grouped pacing) ------------------------------------
 
     async def _stream_group(self, members: List[LiveFlow]) -> None:
-        """One pacer task advancing every flow of a tenant per wake.
+        """One pacer task advancing the due flows of a tenant per wake.
 
-        Per wake: elapsed wall time becomes byte credit per flow at
-        that flow's instantaneous controller rate; frames begin at each
-        flow's own (golden-ratio phased) deadline and truncate at the
-        next one — the same semantics as the per-flow task, minus
-        ``len(members) - 1`` timers per tick.
+        Per wake: each flow whose ``due`` time has come converts the
+        elapsed wall time into byte credit at its instantaneous
+        controller rate; frames begin at each flow's own (golden-ratio
+        phased) deadline and truncate at the next one — the same
+        semantics as the per-flow task, minus ``len(members) - 1``
+        timers per tick and minus the wakes that could not emit.
         """
         interval = self.fgs.frame_interval
         now = self.clock.now
-        states = [
-            _PaceState(flow,
-                       now + (flow.flow_id * _GOLDEN) % 1.0 * interval)
-            for flow in members]
-        advance = self._advance_flow
+        states = []
+        for flow in members:
+            flow.pace = _PaceState(
+                flow, now + (flow.flow_id * _GOLDEN) % 1.0 * interval)
+            states.append(flow.pace)
+        wake = self._wake_group
         sleep = asyncio.sleep
         tick = self.pace_tick
+        clock = self.clock
         while self._running:
             await sleep(tick)
-            now = self.clock.now
-            for state in states:
-                if state.flow.active:
-                    advance(state, now, interval)
+            wake(states, clock.now, interval)
+
+    def _wake_group(self, states: List[_PaceState], now: float,
+                    interval: float) -> None:
+        """One grouped-pacer wake: advance every due, active flow."""
+        advance = self._advance_flow
+        for state in states:
+            if now >= state.due and state.flow.active:
+                advance(state, now, interval)
 
     def _maybe_blind(self, flow: LiveFlow, now: float) -> None:
         """Frame-boundary feedback-starvation check (watchdog off when
@@ -395,8 +438,10 @@ class LiveServer(asyncio.DatagramProtocol):
 
     def _advance_flow(self, state: _PaceState, now: float,
                       interval: float) -> None:
+        """Emit what the flow's credit covers; set its next due time."""
         if not state.started:
             if now < state.deadline:
+                state.due = state.deadline
                 return  # still inside the initial phase offset
             self._begin_frame(state, now, interval)
         elif now >= state.deadline:
@@ -405,19 +450,24 @@ class LiveServer(asyncio.DatagramProtocol):
             self._begin_frame(state, now, interval)
         flow = state.flow
         plan = state.plan
-        credit = min(8.0 * self.fgs.packet_size,
-                     state.credit + (now - state.last) *
-                     flow.controller.rate_bps / 8)
+        rate = flow.controller.rate_bps
+        credit = min(self._credit_cap,
+                     state.credit + (now - state.last) * rate / 8)
         state.last = now
         pos = state.pos
         counts = state.counts
         emit = self._emit
-        while pos < len(plan) and credit >= plan[pos].size:
+        n_planned = len(plan)
+        while pos < n_planned and credit >= plan[pos].size:
             emit(flow, plan[pos], counts)
             credit -= plan[pos].size
             pos += 1
         state.pos = pos
         state.credit = credit
+        due = state.deadline
+        if pos < n_planned and rate > 0:
+            due = min(due, now + (plan[pos].size - credit) * 8 / rate)
+        state.due = due
 
     def _emit(self, flow: LiveFlow, plan: PacketPlan,
               counts: List[int]) -> None:

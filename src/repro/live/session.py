@@ -36,6 +36,7 @@ from ..video.fgs import FgsConfig
 from ..video.psnr import PsnrResult, reconstruct_psnr
 from ..video.traces import generate_foreman_like
 from .client import LiveClient
+from .endpoint import DatagramEndpoint
 from .router import LiveRouter
 from .server import LiveServer
 
@@ -186,18 +187,16 @@ async def _run(config: LiveConfig) -> LiveSessionResult:
     loop = asyncio.get_running_loop()
 
     client = LiveClient(clock, green_packets=config.fgs.green_packets)
-    client_transport, _ = await loop.create_datagram_endpoint(
-        lambda: client, local_addr=(config.host, 0))
-    client_addr = client_transport.get_extra_info("sockname")[:2]
+    client.transport = client_endpoint = DatagramEndpoint(
+        client.datagram_received, config.host, loop=loop)
 
     router = LiveRouter(clock, config.bottleneck_bps, config.queue,
                         interval=config.feedback_interval,
                         window_intervals=config.feedback_window,
                         service_tick=config.service_tick)
-    router_transport, _ = await loop.create_datagram_endpoint(
-        lambda: router, local_addr=(config.host, 0))
-    router.dst_addr = client_addr
-    router_addr = router_transport.get_extra_info("sockname")[:2]
+    router.transport = router_endpoint = DatagramEndpoint(
+        router._ingest, config.host, loop=loop)
+    router.dst_addr = client_endpoint.sockname
 
     cbr = config.cbr_rate_bps if config.cross_traffic == "cbr" else 0.0
     server = LiveServer(clock, config.n_flows,
@@ -206,10 +205,10 @@ async def _run(config: LiveConfig) -> LiveSessionResult:
                         gamma_kwargs=config.gamma_kwargs(),
                         fgs=config.fgs, cbr_rate_bps=cbr,
                         pace_tick=config.pace_tick, seed=config.seed)
-    server_transport, _ = await loop.create_datagram_endpoint(
-        lambda: server, local_addr=(config.host, 0))
-    server.dst_addr = router_addr
-    client.server_addr = server_transport.get_extra_info("sockname")[:2]
+    server.transport = server_endpoint = DatagramEndpoint(
+        server.datagram_received, config.host, loop=loop)
+    server.dst_addr = router_endpoint.sockname
+    client.server_addr = server_endpoint.sockname
 
     router.start()
     server.start()
@@ -250,9 +249,9 @@ async def _run(config: LiveConfig) -> LiveSessionResult:
         await server.stop()
         await router.stop()
         elapsed = clock.now
-        server_transport.close()
-        router_transport.close()
-        client_transport.close()
+        server_endpoint.close()
+        router_endpoint.close()
+        client_endpoint.close()
     return LiveSessionResult(config=config, server=server, client=client,
                              router=router, elapsed=elapsed, meta=meta)
 

@@ -3,8 +3,8 @@
 A single asyncio event loop tops out well below the packet rates the
 gateway admits, so the bottleneck tier is sharded across processes:
 each shard process runs its own event loop hosting one
-:class:`~repro.live.router.LiveRouter` bound to its own UDP socket (the
-batched raw-socket mode), with its own Eq. 11 feedback identity
+:class:`~repro.live.router.LiveRouter` behind its own batched
+:class:`~repro.live.endpoint.DatagramEndpoint`, with its own Eq. 11 feedback identity
 (``router_id`` = shard id, so labels from different shards never alias
 in the per-flow :class:`~repro.core.feedback.FeedbackTracker`).
 
@@ -40,7 +40,6 @@ own answer.
 from __future__ import annotations
 
 import multiprocessing
-import socket
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -48,12 +47,6 @@ from typing import List, Optional, Tuple
 from ..core.pels_queue import PelsQueueConfig
 
 __all__ = ["ShardConfig", "ShardStats", "RouterShard"]
-
-#: Socket buffer request for shard data sockets (and the load
-#: generator's endpoints): enough to ride out multi-millisecond
-#: scheduler stalls at 10k pkts/s x ~250-byte datagrams.
-SOCKET_BUFFER_BYTES = 1 << 21
-
 
 @dataclass
 class ShardConfig:
@@ -133,25 +126,19 @@ async def _shard_serve(conn, config: ShardConfig) -> None:
     import asyncio
 
     from ..core.clock import WallClock
+    from .endpoint import DatagramEndpoint
     from .router import LiveRouter
 
     loop = asyncio.get_running_loop()
-    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    for opt in (socket.SO_RCVBUF, socket.SO_SNDBUF):
-        try:
-            sock.setsockopt(socket.SOL_SOCKET, opt, SOCKET_BUFFER_BYTES)
-        except OSError:
-            pass  # the OS cap applies; default sizes still work
-    sock.bind((config.host, 0))
-    port = sock.getsockname()[1]
-
     router = LiveRouter(WallClock(), config.bottleneck_bps, config.queue,
                         interval=config.feedback_interval,
                         router_id=config.shard_id,
                         window_intervals=config.feedback_window,
-                        service_tick=config.service_tick,
-                        recv_batch=config.recv_batch)
-    router.bind_socket(sock, loop)
+                        service_tick=config.service_tick)
+    endpoint = DatagramEndpoint(router._ingest, config.host,
+                                recv_batch=config.recv_batch, loop=loop)
+    router.transport = endpoint
+    port = endpoint.sockname[1]
     router.start()
     started = time.monotonic()
     stopping = asyncio.Event()
@@ -197,7 +184,7 @@ async def _shard_serve(conn, config: ShardConfig) -> None:
             conn.send(("stopped", _snapshot(router, config, port, started)))
         except (BrokenPipeError, OSError):
             pass
-        sock.close()
+        endpoint.close()
         conn.close()
 
 

@@ -23,6 +23,14 @@ Layout (network byte order, 48 bytes)::
     loss      d   the label's p(k) (Eq. 11; may be 0)
     sent_at   d   sender's clock at transmission
 
+A datagram is rejected at the wire boundary — by :func:`decode_packet`
+and by the one-pass parsers of the server and client built on
+:func:`unpack_header` — if it is truncated, carries a foreign magic or
+version, an unknown packet type or color, a label loss that is not a
+finite number in [0, 1] (Eq. 11 yields p in [0, 1)), or a non-finite
+timestamp.  A rejected datagram never reaches a controller or a delay
+probe.
+
 Data packets are zero-padded up to their declared size so capacity
 pacing and Eq. 11 byte counting operate on real wire bytes, exactly as
 the simulator counts ``packet.size``.  The label sits at a fixed offset
@@ -32,6 +40,7 @@ without decoding or re-encoding the rest of the datagram.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -39,9 +48,10 @@ from typing import Optional
 from ..sim.packet import Color, FeedbackLabel
 
 __all__ = ["HEADER", "HEADER_SIZE", "LABEL", "LABEL_OFFSET", "MAGIC",
-           "VERSION", "LivePacket", "WireFormatError", "encode_packet",
-           "decode_packet", "stamp_label", "peek_color", "peek_label",
-           "peek_flow_id", "peek_ptype", "peek_is_valid"]
+           "VERSION", "PTYPE_DATA", "PTYPE_ACK", "DATA_PREFIX",
+           "LivePacket", "WireFormatError", "encode_packet",
+           "decode_packet", "unpack_header", "stamp_label", "peek_color",
+           "peek_label", "peek_flow_id", "peek_ptype", "peek_is_valid"]
 
 MAGIC = 0x5E15
 VERSION = 1
@@ -67,6 +77,15 @@ _PREFIX = struct.Struct("!HBB")
 
 PTYPE_DATA = 0
 PTYPE_ACK = 1
+
+#: The first four bytes of every valid data packet: the router's ingest
+#: gate is one ``startswith`` against this constant.
+DATA_PREFIX = _PREFIX.pack(MAGIC, VERSION, PTYPE_DATA)
+
+#: Highest valid color byte (= int(Color.BEST_EFFORT)).
+_MAX_COLOR = 3
+
+_isfinite = math.isfinite
 
 
 class WireFormatError(ValueError):
@@ -123,25 +142,43 @@ def encode_packet(packet: LivePacket) -> bytes:
     return header + b"\x00" * (packet.size - HEADER_SIZE)
 
 
-def decode_packet(data: bytes) -> LivePacket:
-    """Parse and validate one datagram; raises :class:`WireFormatError`."""
+def unpack_header(data: bytes) -> tuple:
+    """Unpack and validate one header in a single pass.
+
+    Returns the twelve raw ``HEADER`` fields (magic, version, ptype,
+    flow_id, seq, frame_id, index, color, router_id, epoch, loss,
+    sent_at) or raises :class:`WireFormatError`.  The per-packet parse
+    of the server's ACK path and the client's data path: no
+    :class:`LivePacket` and no ``Color`` construction.
+    """
     if len(data) < HEADER_SIZE:
         raise WireFormatError(
             f"truncated datagram: {len(data)} < {HEADER_SIZE} bytes")
-    (magic, version, ptype, flow_id, seq, frame_id, index, color_value,
-     router_id, epoch, loss, sent_at) = HEADER.unpack_from(data)
+    fields = HEADER.unpack_from(data)
+    (magic, version, ptype, _, _, _, _, color, _, _, loss,
+     sent_at) = fields
     if magic != MAGIC:
         raise WireFormatError(f"bad magic 0x{magic:04x}")
     if version != VERSION:
         raise WireFormatError(f"unsupported version {version}")
-    if ptype not in (PTYPE_DATA, PTYPE_ACK):
+    if ptype != PTYPE_DATA and ptype != PTYPE_ACK:
         raise WireFormatError(f"unknown packet type {ptype}")
-    try:
-        color = Color(color_value)
-    except ValueError:
-        raise WireFormatError(f"unknown color {color_value}") from None
+    if color > _MAX_COLOR:
+        raise WireFormatError(f"unknown color {color}")
+    if not 0.0 <= loss <= 1.0:  # also false for NaN
+        raise WireFormatError(f"label loss {loss!r} outside [0, 1]")
+    if not _isfinite(sent_at):
+        raise WireFormatError(f"non-finite timestamp {sent_at!r}")
+    return fields
+
+
+def decode_packet(data: bytes) -> LivePacket:
+    """Parse and validate one datagram; raises :class:`WireFormatError`."""
+    (_, _, ptype, flow_id, seq, frame_id, index, color_value,
+     router_id, epoch, loss, sent_at) = unpack_header(data)
     return LivePacket(
-        flow_id=flow_id, seq=seq, color=color, is_ack=ptype == PTYPE_ACK,
+        flow_id=flow_id, seq=seq, color=Color(color_value),
+        is_ack=ptype == PTYPE_ACK,
         frame_id=None if frame_id < 0 else frame_id,
         index_in_frame=None if index < 0 else index,
         router_id=router_id, epoch=epoch, loss=loss, sent_at=sent_at,
@@ -164,11 +201,11 @@ def peek_ptype(data: bytes) -> int:
 
 
 def peek_is_valid(data: bytes) -> bool:
-    """Magic/version/length check without decoding the whole header.
+    """Magic/version/type/length check without decoding the header.
 
-    The per-datagram gate of the shard ingest path: three comparisons
-    against the cached prefix ``Struct`` instead of the twelve-field
-    unpack (plus exception machinery) of :func:`decode_packet`.
+    Three comparisons against the cached prefix ``Struct`` instead of
+    the twelve-field unpack of :func:`decode_packet`; the router's
+    ingest gate is the data-only form, ``data.startswith(DATA_PREFIX)``.
     """
     if len(data) < HEADER_SIZE:
         return False

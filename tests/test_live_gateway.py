@@ -362,18 +362,117 @@ class TestLoadConfig:
 class TestGroupedPacing:
     """The tenant-grouped pacer under a ManualClock (no tasks)."""
 
-    def make_server(self, flow_ids=(0, 1), clock=None):
+    def make_server(self, flow_ids=(0, 1), clock=None, **controller):
         clock = clock or ManualClock()
         fgs = FgsConfig(packet_size=100, frame_packets=8, green_packets=2,
                         frame_interval=0.5)
         server = LiveServer(
             clock, 0, fgs=fgs,
             controller_kwargs={"initial_rate_bps": 16_000.0,
-                               "min_rate_bps": 1_000.0},
+                               "min_rate_bps": 1_000.0, **controller},
             flow_ids=list(flow_ids),
             flow_tenants={fid: f"t{fid % 2}" for fid in flow_ids},
             grouped_pacing=True, seed=1)
         return server, clock
+
+    @staticmethod
+    def pace_states(server, start_at=0.0):
+        """The grouped pacer's per-flow states, as ``_stream_group``
+        builds them (all phases at ``start_at``)."""
+        states = []
+        for flow in server.flows.values():
+            flow.pace = _PaceState(flow, start_at=start_at)
+            states.append(flow.pace)
+        return states
+
+    @staticmethod
+    def count_calls(server):
+        """Count flow advances, ``_emit`` and frame-planning calls from
+        here on."""
+        calls = {"advance": 0, "emit": 0, "plan": 0}
+        advance, emit = server._advance_flow, server._emit
+
+        def counting_advance(*args):
+            calls["advance"] += 1
+            advance(*args)
+
+        def counting_emit(*args):
+            calls["emit"] += 1
+            emit(*args)
+        server._advance_flow = counting_advance
+        server._emit = counting_emit
+        for flow in server.flows.values():
+            plan = flow.marking_policy.plan
+
+            def counting_plan(*args, _plan=plan):
+                calls["plan"] += 1
+                return _plan(*args)
+            flow.marking_policy.plan = counting_plan
+        return calls
+
+    def test_wake_with_no_due_flow_emits_and_plans_nothing(self):
+        server, clock = self.make_server(flow_ids=(0,))
+        states = self.pace_states(server)
+        interval = server.fgs.frame_interval
+        server._wake_group(states, 0.0, interval)  # frame 0, 1st packet
+        assert 0.0 < states[0].due <= interval
+        calls = self.count_calls(server)
+        # 16 kb/s, 100-byte packets: the next one is due at 0.05 s.
+        server._wake_group(states, 0.04, interval)
+        assert calls == {"advance": 0, "emit": 0, "plan": 0}
+        server._wake_group(states, 0.06, interval)
+        assert calls == {"advance": 1, "emit": 1, "plan": 0}
+
+    def test_rate_rise_through_an_ack_emits_at_the_next_wake(self):
+        tick = 0.01
+        fast, _ = self.make_server(flow_ids=(0,), initial_rate_bps=4_000.0,
+                                   alpha_bps=100_000.0)
+        slow, _ = self.make_server(flow_ids=(0,), initial_rate_bps=4_000.0,
+                                   alpha_bps=100_000.0)
+        interval = fast.fgs.frame_interval
+        runs = []
+        for server in (fast, slow):
+            states = self.pace_states(server)
+            server._wake_group(states, 0.0, interval)
+            # 4 kb/s: a two-packet frame, the second 0.2 s out.
+            assert len(states[0].plan) == 2
+            assert states[0].due == pytest.approx(0.2)
+            runs.append((server, states, self.count_calls(server)))
+        fast.clock.now = 0.1
+        fast.datagram_received(encode_packet(LivePacket(
+            flow_id=0, seq=0, is_ack=True, router_id=1, epoch=1,
+            loss=0.0)), ("127.0.0.1", 1))
+        assert fast.flows[0].rate_bps == pytest.approx(104_000.0)
+        # Credit up to the ACK was earned at the old 4 kb/s.
+        assert runs[0][1][0].credit == pytest.approx(0.1 * 4_000.0 / 8)
+        assert runs[0][1][0].due == 0.1
+        for server, states, _ in runs:
+            server._wake_group(states, 0.1 + tick, interval)
+        assert runs[0][2]["emit"] >= 1  # the ACKed flow sends now
+        assert runs[1][2]["emit"] == 0  # its twin waits for 0.2 s
+
+    def test_due_pacer_matches_the_every_tick_pacer_per_frame(self):
+        tick, frames = 0.01, 10
+        due, _ = self.make_server(flow_ids=(0, 1, 2))
+        every, _ = self.make_server(flow_ids=(0, 1, 2))
+        interval = due.fgs.frame_interval
+        due_states = self.pace_states(due)
+        every_states = self.pace_states(every)
+        for phase, (a, b) in enumerate(zip(due_states, every_states)):
+            a.deadline = b.deadline = a.due = b.due = phase * 0.137
+        calls = self.count_calls(due)
+        for k in range(int((frames + 1) * interval / tick) + 1):
+            now = k * tick
+            due._wake_group(due_states, now, interval)
+            for state in every_states:
+                every._advance_flow(state, now, interval)
+        assert calls["emit"] > 0
+        for flow_id in due.flows:
+            due_log = due.flows[flow_id].frame_log
+            every_log = every.flows[flow_id].frame_log
+            for frame in range(frames):
+                assert all(abs(x - y) <= 1 for x, y in
+                           zip(due_log[frame], every_log[frame])), frame
 
     def test_frames_begin_after_phase_and_packets_flow(self):
         server, clock = self.make_server(flow_ids=(0,))

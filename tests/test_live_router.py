@@ -9,16 +9,22 @@ and no sleeps, so they run in tier 1.
 
 from __future__ import annotations
 
+import asyncio
 import socket
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.clock import ManualClock
 from repro.core.pels_queue import PelsQueueConfig
+from repro.live.endpoint import DatagramEndpoint
 from repro.live.router import LiveRouter
-from repro.live.wire import (HEADER_SIZE, LivePacket, decode_packet,
-                             encode_packet, peek_color, peek_flow_id,
-                             peek_is_valid, peek_label, peek_ptype)
+from repro.live.wire import (HEADER, HEADER_SIZE, MAGIC, VERSION,
+                             LivePacket, decode_packet, encode_packet,
+                             peek_color, peek_flow_id, peek_is_valid,
+                             peek_label, peek_ptype)
 from repro.sim.packet import Color
 
 
@@ -72,6 +78,55 @@ class TestIngest:
         router._ingest(bytes(bad))
         assert router.arrivals == [0, 0, 0, 0]
         assert sum(len(q) for q in router._queues) == 0
+        assert router.malformed == 2
+
+    def test_foreign_magic_with_a_green_color_byte_is_rejected(self):
+        # Stray bytes that happen to carry a valid color at offset 20
+        # must not count as a green arrival nor feed Eq. 11.
+        junk = bytearray(b"\xff" * HEADER_SIZE)
+        junk[20] = 0
+        router = make_router()
+        router._ingest(bytes(junk))
+        assert router.arrivals == [0, 0, 0, 0]
+        assert router._pels_bytes == 0
+        assert router.queue_depths() == [0, 0, 0, 0]
+        assert router.malformed == 1
+
+    def test_acks_are_not_forwarding_traffic(self):
+        router = make_router()
+        router._ingest(encode_packet(LivePacket(flow_id=1, seq=0,
+                                                color=Color.GREEN,
+                                                is_ack=True)))
+        assert router.arrivals == [0, 0, 0, 0]
+        assert router.malformed == 1
+
+    @given(data=st.one_of(
+        st.binary(max_size=2 * HEADER_SIZE),
+        st.builds(lambda prefix, fields, pad: HEADER.pack(*prefix, *fields)
+                  + pad,
+                  st.tuples(st.one_of(st.just(MAGIC), st.integers(0, 65535)),
+                            st.one_of(st.just(VERSION), st.integers(0, 255)),
+                            st.integers(0, 3)),
+                  st.tuples(st.integers(0, 2**32 - 1),
+                            st.integers(0, 2**32 - 1),
+                            st.integers(-2**31, 2**31 - 1),
+                            st.integers(-2**31, 2**31 - 1),
+                            st.one_of(st.integers(0, 4),
+                                      st.integers(0, 255)),
+                            st.integers(0, 2**32 - 1),
+                            st.integers(0, 2**32 - 1),
+                            st.floats(), st.floats()),
+                  st.binary(max_size=64))))
+    @settings(max_examples=400, deadline=None)
+    def test_hostile_datagrams_are_counted_never_ingested(self, data):
+        router = make_router()
+        valid = peek_is_valid(data) and peek_ptype(data) == 0 \
+            and peek_color(data) <= 3
+        router._ingest(data)
+        assert router.malformed == (0 if valid else 1)
+        assert sum(router.arrivals) == (1 if valid else 0)
+        assert router._pels_bytes == \
+            (len(data) if valid and peek_color(data) < 3 else 0)
 
     def test_overflow_drops_are_counted_per_color(self):
         router = make_router()
@@ -183,31 +238,49 @@ class TestServicePath:
 
 
 class TestRawSocketBatching:
+    """The shared batched endpoint, with the router ingest as handler."""
+
     def test_on_readable_drains_up_to_recv_batch(self):
-        router = make_router(recv_batch=8)
-        receiver = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        receiver.bind(("127.0.0.1", 0))
-        receiver.setblocking(False)
+        router = make_router()
+        loop = asyncio.new_event_loop()
+        endpoint = DatagramEndpoint(router._ingest, recv_batch=8, loop=loop)
         sender = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         try:
             for seq in range(12):
                 sender.sendto(datagram(Color.GREEN, seq=seq),
-                              receiver.getsockname())
-            router.transport = None
-            router._sock = receiver
-            router._on_readable()
+                              endpoint.sockname)
+            time.sleep(0.05)  # let loopback deliver all twelve
+            endpoint._on_readable()
             assert router.arrivals[Color.GREEN] == 8  # one batch
-            router._on_readable()
+            endpoint._on_readable()
             assert router.arrivals[Color.GREEN] == 12  # drained dry
+            endpoint._on_readable()  # empty socket: a no-op wake
+            assert router.arrivals[Color.GREEN] == 12
             # Overflowed past green_buffer=4: drop accounting intact.
             assert router.drops[Color.GREEN] == 8
         finally:
             sender.close()
-            receiver.close()
+            endpoint.close()
+            loop.close()
 
     def test_constructor_rejects_bad_recv_batch(self):
         with pytest.raises(ValueError):
-            make_router(recv_batch=0)
+            DatagramEndpoint(lambda data, addr: None, recv_batch=0)
+
+    def test_sendto_forwards_and_close_is_idempotent(self):
+        loop = asyncio.new_event_loop()
+        received = []
+        endpoint = DatagramEndpoint(lambda data, addr: received.append(data),
+                                    loop=loop)
+        try:
+            endpoint.sendto(bytearray(b"ping"), endpoint.sockname)
+            time.sleep(0.05)
+            endpoint._on_readable()
+            assert received == [b"ping"]
+        finally:
+            endpoint.close()
+            endpoint.close()
+            loop.close()
 
 
 class TestLayeredShedding:
